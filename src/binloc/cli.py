@@ -19,7 +19,7 @@ from .metrics import (
     write_overall,
     write_per_azimuth,
 )
-from .model import BinauralTransformer, ModelConfig
+from .model import BinauralTransformer
 from .rollout import bast_rollout, export_heatmap
 from .spatial import (
     AZIMUTH_GRID,
@@ -31,8 +31,8 @@ from .spatial import (
     read_wav,
     reverberant_scene,
 )
-from .train import run_env_transfer, run_grid, train
-from .util import read_kv
+from .train import load_run, run_env_transfer, run_grid, train
+from .util import from_kv, read_kv, to_kv
 
 
 class _UsageError(SystemExit):
@@ -49,30 +49,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _base_config(args) -> ExperimentConfig:
-    cfg = PROFILES[args.profile]()
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_kv(read_kv(args.config), base=cfg)
-    overrides = {}
-    for key, attr in (("loss_kind", "loss"), ("loss_alpha", "alpha"),
-                      ("lr", "lr"), ("batch", "batch"), ("epochs", "epochs"),
-                      ("seed", "seed"), ("env_filter", "env_filter"),
-                      ("early_stop_train_ad", "early_stop_ad")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "integration", None):
-        overrides["integration"] = args.integration
-    if getattr(args, "shared", None) is not None:
-        overrides["shared"] = args.shared
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise _usage(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    if overrides:
-        cfg = ExperimentConfig.from_kv(
-            {k: str(v) for k, v in overrides.items()}, base=cfg)
-    return cfg
+    """The profile, then ``--config``, then flags, then ``--set``; bad keys exit 1.
+
+    Every flag that sets a config key has that key as its ``dest``.
+    """
+    base = PROFILES[args.profile]()
+    try:
+        kv = read_kv(args.config) if getattr(args, "config", None) else {}
+        for key in to_kv(base):
+            value = getattr(args, key, None)
+            if value is not None:
+                kv[key] = value
+        for item in getattr(args, "set", None) or []:
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise ValueError(f"--set expects key=value, got {item!r}")
+            kv[key.strip()] = value.strip()
+        return from_kv(base, kv)
+    except ValueError as exc:
+        raise _usage(str(exc)) from None
 
 
 def _usage(message: str) -> SystemExit:
@@ -83,8 +78,9 @@ def _usage(message: str) -> SystemExit:
 def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     p.add_argument("--config", help="key=value experiment config file")
-    p.add_argument("--loss", choices=("mse", "ad", "hybrid"))
-    p.add_argument("--alpha", type=float, help="hybrid weight on the angular term")
+    p.add_argument("--loss", dest="loss_kind", choices=("mse", "ad", "hybrid"))
+    p.add_argument("--alpha", dest="loss_alpha", type=float,
+                   help="hybrid weight on the angular term")
     p.add_argument("--integration", choices=("concat", "add", "sub"))
     shared = p.add_mutually_exclusive_group()
     shared.add_argument("--shared", dest="shared", action="store_true",
@@ -96,7 +92,7 @@ def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--env-filter", dest="env_filter",
                    choices=("AE", "RV", "AE+RV"))
-    p.add_argument("--early-stop-ad", dest="early_stop_ad", type=float,
+    p.add_argument("--early-stop-ad", dest="early_stop_train_ad", type=float,
                    help="stop once training angular error drops below this")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key")
@@ -169,9 +165,9 @@ def _cmd_gen_data(args) -> int:
     scenes = {}
     for env in envs:
         if env == "AE":
-            scenes[env] = anechoic_scene(seed=args.seed)
+            scenes[env] = anechoic_scene()
         elif env == "RV":
-            scenes[env] = reverberant_scene(seed=args.seed)
+            scenes[env] = reverberant_scene()
         else:
             raise _usage(f"unknown environment {env!r}; use AE and/or RV")
     kinds = list(SOURCE_KINDS)
@@ -201,10 +197,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    run_dir = Path(args.run)
-    cfg = ExperimentConfig.load(run_dir / "config.kv")
-    ckpt = run_dir / ("final.ckpt" if args.use_final else "best.ckpt")
-    model = BinauralTransformer.load(ckpt, cfg.model)
+    cfg, model = load_run(args.run, use_final=args.use_final)
     samples = load_samples(args.manifest, cfg.frontend, splits=(args.split,),
                            environments=cfg.environments)
     records, agg = evaluate(model, samples)
@@ -240,12 +233,7 @@ def _cmd_env_transfer(args) -> int:
 
 
 def _cmd_rollout(args) -> int:
-    run_dir = Path(args.run)
-    cfg = ExperimentConfig.load(run_dir / "config.kv")
-    ckpt = run_dir / "best.ckpt"
-    if not ckpt.exists():
-        ckpt = run_dir / "final.ckpt"
-    model = BinauralTransformer.load(ckpt, cfg.model)
+    cfg, model = load_run(args.run)
     manifest = load_manifest(args.manifest)
     matches = [r for r in manifest.records if r.sample_id == args.sample_id]
     if not matches:

@@ -1,4 +1,4 @@
-"""Experiment configuration: profiles, key=value files, flag overrides."""
+"""Experiment configuration: profiles and key=value files."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from .frontend import FrontendConfig
 from .losses import LossConfig
 from .model import ModelConfig
-from .util import config_hash, read_kv, write_kv
+from .util import config_hash, from_kv, read_kv, to_kv, write_kv
 
 __all__ = ["ExperimentConfig", "desk_profile", "full_profile", "PROFILES"]
 
@@ -16,9 +16,13 @@ ENV_FILTERS = ("AE", "RV", "AE+RV")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one training run needs, in one serializable bundle."""
+    """Everything one training run needs, in one serializable bundle.
 
-    model: ModelConfig = field(default_factory=ModelConfig)
+    Its flat keys (``util.to_kv``) are the field names, the model's
+    unprefixed and the loss and frontend fields under ``loss_``/``frontend_``.
+    """
+
+    model: ModelConfig = field(default_factory=ModelConfig, metadata={"prefix": ""})
     loss: LossConfig = field(default_factory=LossConfig)
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
     lr: float = 1e-4
@@ -42,71 +46,15 @@ class ExperimentConfig:
     def environments(self) -> tuple[str, ...]:
         return ("AE", "RV") if self.env_filter == "AE+RV" else (self.env_filter,)
 
-    def key_values(self) -> dict:
-        kv = dict(self.model.key_values())
-        kv.update({f"loss_{k}": v for k, v in self.loss.key_values().items()})
-        kv.update({f"frontend_{k}": v for k, v in self.frontend.key_values().items()})
-        kv.update({
-            "lr": self.lr, "batch": self.batch, "epochs": self.epochs,
-            "seed": self.seed, "env_filter": self.env_filter,
-            "early_stop_train_ad": self.early_stop_train_ad,
-            "use_cache": self.use_cache,
-        })
-        return kv
-
     def hash(self) -> str:
-        return config_hash(self.key_values())
+        return config_hash(to_kv(self))
 
     def save(self, path) -> None:
-        write_kv(path, self.key_values())
-
-    @classmethod
-    def from_kv(cls, kv: dict[str, str],
-                base: "ExperimentConfig | None" = None) -> "ExperimentConfig":
-        cfg = base if base is not None else cls()
-
-        def boolean(s: str) -> bool:
-            return str(s).lower() in ("true", "1", "yes")
-
-        model_kv = {k: v for k, v in kv.items()
-                    if k in ModelConfig().key_values()}
-        model = ModelConfig.from_kv({**{str(k): str(v) for k, v in
-                                        cfg.model.key_values().items()},
-                                     **model_kv})
-        loss = LossConfig(
-            kind=kv.get("loss_kind", cfg.loss.kind),
-            alpha=float(kv.get("loss_alpha", cfg.loss.alpha)),
-            epsilon=float(kv.get("loss_epsilon", cfg.loss.epsilon)),
-        )
-        frontend = FrontendConfig(
-            window_length=int(kv.get("frontend_window_length",
-                                     cfg.frontend.window_length)),
-            hop=int(kv.get("frontend_hop", cfg.frontend.hop)),
-            nfft=int(kv.get("frontend_nfft", cfg.frontend.nfft)),
-            tukey_shape=float(kv.get("frontend_tukey_shape",
-                                     cfg.frontend.tukey_shape)),
-            log_compress=boolean(kv.get("frontend_log_compress",
-                                        cfg.frontend.log_compress)),
-            standardize=boolean(kv.get("frontend_standardize",
-                                       cfg.frontend.standardize)),
-        )
-        stop = kv.get("early_stop_train_ad", cfg.early_stop_train_ad)
-        if isinstance(stop, str):
-            stop = None if stop.lower() in ("none", "") else float(stop)
-        return cls(
-            model=model, loss=loss, frontend=frontend,
-            lr=float(kv.get("lr", cfg.lr)),
-            batch=int(kv.get("batch", cfg.batch)),
-            epochs=int(kv.get("epochs", cfg.epochs)),
-            seed=int(kv.get("seed", cfg.seed)),
-            env_filter=kv.get("env_filter", cfg.env_filter),
-            early_stop_train_ad=stop,
-            use_cache=boolean(kv.get("use_cache", cfg.use_cache)),
-        )
+        write_kv(path, to_kv(self))
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.from_kv(read_kv(path))
+        return from_kv(cls(), read_kv(path))
 
     def override(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)

@@ -27,15 +27,7 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
-    "neg",
     "scale",
-    "power",
-    "exp",
-    "log",
-    "sqrt",
-    "clamp",
-    "arccos",
     "gelu",
     "softmax",
     "layer_norm",
@@ -113,9 +105,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -145,12 +134,7 @@ class Tensor:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
+        return scale(self, 1.0 / float(other))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -304,78 +288,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record_op((a, b), out, backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
-
-    def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-        gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-              if b.requires_grad else None)
-        return ga, gb
-
-    return _record_op((a, b), out, backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _record_op((a,), -a.data, lambda g: (-g,))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     arr = a.data * a.data.dtype.type(c)
     return _record_op((a,), arr, lambda g: (g * c,))
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    """Elementwise a**p for a constant exponent."""
-    p = float(p)
-    out = a.data ** p
-
-    def backward(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _record_op((a,), out, backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _record_op((a,), out, lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-    return _record_op((a,), out, lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-
-    def backward(g):
-        return (g / (2.0 * out),)
-
-    return _record_op((a,), out, backward)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip values into [lo, hi]; gradient is zero at and beyond the bounds."""
-    if lo >= hi:
-        raise ParameterError(f"clamp bounds must satisfy lo < hi, got [{lo}, {hi}]")
-    out = np.clip(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
-
-    def backward(g):
-        return (g * inside,)
-
-    return _record_op((a,), out, backward)
-
-
-def arccos(a: Tensor) -> Tensor:
-    out = np.arccos(a.data)
-
-    def backward(g):
-        return (-g / np.sqrt(1.0 - a.data * a.data),)
-
-    return _record_op((a,), out, backward)
 
 
 def gelu(a: Tensor) -> Tensor:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import config_hash
+from .util import config_hash, to_kv
 
 __all__ = [
     "Waveform",
@@ -81,18 +81,8 @@ class FrontendConfig:
     def n_frames(self, n_samples: int) -> int:
         return (n_samples - self.window_length) // self.hop + 1
 
-    def key_values(self) -> dict:
-        return {
-            "window_length": self.window_length,
-            "hop": self.hop,
-            "nfft": self.nfft,
-            "tukey_shape": self.tukey_shape,
-            "log_compress": self.log_compress,
-            "standardize": self.standardize,
-        }
-
     def hash(self) -> str:
-        return config_hash(self.key_values())
+        return config_hash(to_kv(self))
 
 
 CANONICAL = FrontendConfig()

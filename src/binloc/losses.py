@@ -41,9 +41,6 @@ class LossConfig:
         if self.epsilon <= 0:
             raise LossError(f"epsilon must be positive, got {self.epsilon}")
 
-    def key_values(self) -> dict:
-        return {"kind": self.kind, "alpha": self.alpha, "epsilon": self.epsilon}
-
 
 def _check_batch(target: np.ndarray, pred: E.Tensor) -> np.ndarray:
     target = np.asarray(target, dtype=pred.data.dtype)

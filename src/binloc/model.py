@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine as E
 from .checkpoint import load_tensors, save_tensors
-from .util import config_hash
+from .util import config_hash, to_kv
 
 __all__ = [
     "ModelConfig",
@@ -81,31 +81,8 @@ class ModelConfig:
     def grid(self) -> "PatchGrid":
         return patch_counts(self.height, self.width, self.patch, self.stride)
 
-    def key_values(self) -> dict:
-        return {
-            "height": self.height, "width": self.width, "patch": self.patch,
-            "stride": self.stride, "dim": self.dim, "layers": self.layers,
-            "heads": self.heads, "mlp_dim": self.mlp_dim, "dropout": self.dropout,
-            "integration": self.integration, "shared": self.shared,
-        }
-
     def hash(self) -> str:
-        return config_hash(self.key_values())
-
-    @classmethod
-    def from_kv(cls, kv: dict[str, str]) -> "ModelConfig":
-        def conv(name, cast):
-            return cast(kv[name]) if name in kv else getattr(cls, name)
-
-        return cls(
-            height=conv("height", int), width=conv("width", int),
-            patch=conv("patch", int), stride=conv("stride", int),
-            dim=conv("dim", int), layers=conv("layers", int),
-            heads=conv("heads", int), mlp_dim=conv("mlp_dim", int),
-            dropout=conv("dropout", float),
-            integration=kv.get("integration", cls.integration),
-            shared=conv("shared", lambda s: str(s).lower() in ("true", "1", "yes")),
-        )
+        return config_hash(to_kv(self))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import scipy.io.wavfile
 import scipy.signal
 
 from .frontend import Waveform
-from .util import config_hash
+from .util import config_hash, to_kv
 
 __all__ = [
     "LocalizationTarget",
@@ -96,7 +96,6 @@ class SceneConfig:
     speed_of_sound: float = 343.0
     absorption: float = 0.3
     reflection_order: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.absorption <= 1.0:
@@ -112,24 +111,13 @@ class SceneConfig:
     def is_anechoic(self) -> bool:
         return self.reflection_order == 0
 
-    def key_values(self) -> dict:
-        return {
-            "room": self.room,
-            "listener": self.listener,
-            "head_radius": self.head_radius,
-            "speed_of_sound": self.speed_of_sound,
-            "absorption": self.absorption,
-            "reflection_order": self.reflection_order,
-            "seed": self.seed,
-        }
+
+def anechoic_scene() -> SceneConfig:
+    return SceneConfig(reflection_order=0)
 
 
-def anechoic_scene(seed: int = 0) -> SceneConfig:
-    return SceneConfig(reflection_order=0, seed=seed)
-
-
-def reverberant_scene(seed: int = 0) -> SceneConfig:
-    return SceneConfig(reflection_order=3, absorption=0.3, seed=seed)
+def reverberant_scene() -> SceneConfig:
+    return SceneConfig(reflection_order=3, absorption=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +354,7 @@ def build_dataset(sources: dict[str, Waveform], azimuths, scenes: dict[str, Scen
         "sources": tuple(sorted(sources)),
         "test_sources": tuple(sorted(test_sources)),
         **{f"scene_{env}_{k}": v for env, scene in sorted(scenes.items())
-           for k, v in scene.key_values().items()},
+           for k, v in to_kv(scene).items()},
     })
 
     records = []

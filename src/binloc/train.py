@@ -167,12 +167,17 @@ def train(cfg: ExperimentConfig, manifest_path, out_dir,
     return result
 
 
-def load_run(run_dir) -> tuple[ExperimentConfig, BinauralTransformer]:
-    """Rebuild the model of a finished run from its directory (best ckpt)."""
+def load_run(run_dir, use_final: bool = False
+             ) -> tuple[ExperimentConfig, BinauralTransformer]:
+    """Rebuild the model of a finished run from its directory.
+
+    Loads ``best.ckpt``, or ``final.ckpt`` when ``use_final`` is set or the
+    run has no best checkpoint.
+    """
     run_dir = Path(run_dir)
     cfg = ExperimentConfig.load(run_dir / "config.kv")
     ckpt = run_dir / "best.ckpt"
-    if not ckpt.exists():
+    if use_final or not ckpt.exists():
         ckpt = run_dir / "final.ckpt"
     model = BinauralTransformer.load(ckpt, cfg.model)
     return cfg, model

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from binloc.cli import main
+from binloc.config import ExperimentConfig
 from binloc.spatial import load_manifest
 
 
@@ -31,6 +32,54 @@ class TestExitCodes:
     def test_bad_set_value_is_usage_error(self, tmp_path):
         assert main(["inspect-params", "--profile", "desk",
                      "--set", "malformed"]) == 1
+
+    @pytest.mark.parametrize("setting", [
+        "dimm=64", "shared=maybe", "frontend_log_compress=nope",
+        "loss_kind=bogus", "dim=abc", "early_stop_train_ad=abc"])
+    def test_bad_config_setting_is_usage_error(self, setting, capsys):
+        assert main(["inspect-params", "--profile", "desk",
+                     "--set", setting]) == 1
+        key = setting.split("=")[0]
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_unknown_key_in_config_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "exp.kv"
+        config.write_text("dim = 16\nlayerz = 1\n")
+        assert main(["train", "--manifest", str(tmp_path / "missing.jsonl"),
+                     "--out", str(tmp_path / "run"), "--config", str(config)]) == 1
+        assert "'layerz'; did you mean 'layers'?" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["eval"],
+                                         ["rollout", "--sample-id", "x"]])
+    def test_bad_run_config_is_runtime_failure(self, command, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "config.kv").write_text("dimm = 64\n")
+        assert main([*command, "--run", str(run),
+                     "--manifest", str(tmp_path / "missing.jsonl"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "'dimm'" in capsys.readouterr().err
+
+
+class TestConfigResolution:
+    def test_file_then_flags_then_set(self, tmp_path):
+        config = tmp_path / "exp.kv"
+        config.write_text("loss_kind = mse\nlr = 0.5\nbatch = 7\n")
+        run = tmp_path / "run"
+        # the corpus is missing, so train fails after writing config.kv
+        assert main(["train", "--manifest", str(tmp_path / "missing.jsonl"),
+                     "--out", str(run), "--config", str(config),
+                     "--lr", "0.01", "--set", "lr=0.02", "--alpha", "0.25",
+                     "--early-stop-ad", "4.5", "--integration", "add",
+                     "--shared", "--env-filter", "AE", "--seed", "9"]) == 2
+        cfg = ExperimentConfig.load(run / "config.kv")
+        assert (cfg.loss.kind, cfg.batch) == ("mse", 7)
+        assert cfg.lr == 0.02
+        assert cfg.loss.alpha == 0.25
+        assert cfg.early_stop_train_ad == 4.5
+        assert (cfg.model.integration, cfg.model.shared) == ("add", True)
+        assert (cfg.env_filter, cfg.seed) == ("AE", 9)
+        assert cfg.model.dim == 128  # the desk profile underneath
 
 
 class TestGenData:

@@ -19,6 +19,7 @@ from binloc.model import (
     patch_counts,
     sincos_position_table,
 )
+from binloc.util import from_kv, to_kv
 
 TINY = ModelConfig(height=20, width=16, patch=8, stride=6, dim=32, layers=1,
                    heads=2, mlp_dim=32, dropout=0.0, integration="sub")
@@ -317,6 +318,6 @@ class TestModelConfig:
     def test_kv_round_trip(self):
         cfg = ModelConfig(dim=128, heads=4, mlp_dim=256, stride=12,
                           integration="add", shared=True, dropout=0.1)
-        kv = {k: str(v) for k, v in cfg.key_values().items()}
-        assert ModelConfig.from_kv(kv) == cfg
-        assert ModelConfig.from_kv(kv).hash() == cfg.hash()
+        kv = {k: str(v) for k, v in to_kv(cfg).items()}
+        assert from_kv(ModelConfig(), kv) == cfg
+        assert from_kv(ModelConfig(), kv).hash() == cfg.hash()

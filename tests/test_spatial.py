@@ -185,6 +185,14 @@ class TestBuildDataset:
         assert (tmp_path / "a" / "manifest.jsonl").read_bytes() == \
                (tmp_path / "b" / "manifest.jsonl").read_bytes()
 
+    def test_generation_seed_changes_manifest_hash(self, tmp_path):
+        # the scenes carry no seed; build_dataset hashes the generation seed
+        m1 = S.build_dataset(self._sources(2), (0,), {"AE": AE}, 0.5, 1,
+                             tmp_path / "a")
+        m2 = S.build_dataset(self._sources(2), (0,), {"AE": AE}, 0.5, 2,
+                             tmp_path / "b")
+        assert m1.config_hash != m2.config_hash
+
     def test_test_sources_disjoint(self, tmp_path):
         manifest = S.build_dataset(self._sources(2), (0, 90), {"AE": AE}, 0.5, 1,
                                    tmp_path, test_sources=self._sources(1, offset=10))

@@ -85,6 +85,19 @@ class TestTrain:
         assert after_final["mse"] == before["mse"]
         assert after["ad_deg"] == result.best_val_ad
 
+    def test_load_run_final_on_request_or_without_best(self, micro_corpus,
+                                                       tmp_path):
+        manifest, _ = micro_corpus
+        result = train(micro_config(epochs=2), manifest, tmp_path / "run")
+
+        def same_weights(model):  # result.model holds the final weights
+            return all(np.array_equal(a.data, b.data) for a, b in
+                       zip(model.parameters(), result.model.parameters()))
+
+        assert same_weights(load_run(tmp_path / "run", use_final=True)[1])
+        (tmp_path / "run" / "best.ckpt").unlink()
+        assert same_weights(load_run(tmp_path / "run")[1])
+
     def test_env_filter_never_touches_other_environment(self, micro_corpus,
                                                         tmp_path):
         manifest, _ = micro_corpus
