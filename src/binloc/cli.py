@@ -160,7 +160,20 @@ def _cmd_gen_data(args) -> int:
     if args.azimuths == "all":
         azimuths = AZIMUTH_GRID
     else:
-        azimuths = tuple(int(a) for a in args.azimuths.split(","))
+        try:
+            azimuths = tuple(int(a) for a in args.azimuths.split(","))
+        except ValueError:
+            raise _usage(f"--azimuths must be 'all' or comma-separated integers, "
+                         f"got {args.azimuths!r}") from None
+    off_grid = [a for a in azimuths if a not in AZIMUTH_GRID]
+    if off_grid:
+        raise _usage(f"--azimuths must be multiples of 10 in [0, 350], got {off_grid}")
+    if args.sources < 1:
+        raise _usage(f"--sources must be >= 1, got {args.sources}")
+    if args.test_sources < 0:
+        raise _usage(f"--test-sources must be >= 0, got {args.test_sources}")
+    if not 0.0 < args.ratio < 1.0:
+        raise _usage(f"--ratio must be in (0, 1), got {args.ratio}")
     envs = tuple(args.envs.split(","))
     scenes = {}
     for env in envs:

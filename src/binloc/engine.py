@@ -9,6 +9,7 @@ ops run as plain numpy computations with no recording overhead.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -23,20 +24,18 @@ __all__ = [
     "ParameterError",
     "tensor",
     "parameter",
-    "matmul",
     "add",
     "sub",
     "mul",
     "scale",
     "gelu",
-    "softmax",
     "layer_norm",
     "dropout",
     "tsum",
     "tmean",
-    "reshape",
-    "transpose",
     "concat",
+    "linear",
+    "attention",
 ]
 
 
@@ -136,9 +135,6 @@ class Tensor:
     def __truediv__(self, other):
         return scale(self, 1.0 / float(other))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _coerce(value, like: Tensor) -> Tensor:
     if isinstance(value, Tensor):
@@ -235,12 +231,16 @@ class Graph:
             leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` would be recorded on the active tape."""
+    return current_graph() is not None and any(t.requires_grad for t in inputs)
+
+
 def _record_op(inputs: Sequence[Tensor], out_data: np.ndarray, backward) -> Tensor:
-    graph = current_graph()
-    needs = graph is not None and any(t.requires_grad for t in inputs)
+    needs = _recording(inputs)
     out = Tensor(out_data, requires_grad=needs)
     if needs:
-        graph._record(tuple(inputs), out, backward)
+        current_graph()._record(tuple(inputs), out, backward)
     return out
 
 
@@ -310,23 +310,6 @@ def gelu(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # normalization and regularization
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax; sums along ``axis`` are 1 to float accuracy."""
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    # accumulate the normalizer in 64-bit, then divide in storage precision
-    denom = e.sum(axis=axis, keepdims=True, dtype=np.float64)
-    out = e / denom.astype(a.data.dtype)
-
-    def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _record_op((a,), out, backward)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, axis: int = -1,
@@ -416,25 +399,6 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _record_op((a,), out, backward)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = a.data.reshape(shape)
-
-    def backward(g):
-        return (g.reshape(a.shape),)
-
-    return _record_op((a,), out, backward)
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = a.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        return (g.transpose(inverse),)
-
-    return _record_op((a,), out, backward)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     if not tensors:
         raise ParameterError("concat needs at least one tensor")
@@ -448,22 +412,95 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _record_op(tuple(tensors), out, backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy-style broadcasting of leading batch dims."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
+
+# ---------------------------------------------------------------------------
+# fused layers: one tape node each, with a hand-written backward
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` over the last axis of an N-D ``x``.
+
+    ``w`` is (d_in, d_out) and ``b`` is (d_out,); the leading axes of ``x``
+    are flattened into the rows of one GEMM.
+    """
+    if (w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
         raise ShapeError(
-            f"matmul needs >=2-D operands, got {a.shape} and {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out = np.matmul(a.data, b.data)
+            f"linear needs x (..., d_in), w (d_in, d_out) and b (d_out,), got "
+            f"{x.shape}, {w.shape} and {b.shape}")
+    flat = x.data.reshape(-1, x.shape[-1])
+    out = flat @ w.data
+    out += b.data
 
     def backward(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
+        g = g.reshape(-1, g.shape[-1])
+        gx = (g @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = flat.T @ g if w.requires_grad else None
+        gb = g.sum(axis=0) if b.requires_grad else None
+        return gx, gw, gb
 
-    return _record_op((a, b), out, backward)
+    return _record_op((x, w, b), out.reshape(x.shape[:-1] + (w.shape[1],)), backward)
+
+
+# Byte budget of one batch block's (heads, n, n) attention maps. A block's
+# maps and the temporaries of the same size then stay in a 2 MiB per-core L2
+# cache; a block holds at least one sample.
+_ATTENTION_BLOCK_BYTES = 512 * 1024
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              capture: list | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention over (batch, n, dim) inputs.
+
+    The feature axis splits into ``heads`` heads of width dh; each head
+    computes softmax(q k^T / sqrt(dh)) v with a max-shifted softmax whose
+    normalizer accumulates in 64-bit, and the heads merge back to (batch, n,
+    dim). The batch runs in blocks of ``_ATTENTION_BLOCK_BYTES`` worth of
+    maps, forward and backward, so only one block's logits exist at a time.
+    The probability maps are the only intermediate kept for backward; a
+    ``capture`` list receives them as one (batch, heads, n, n) array.
+    """
+    if q.data.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(
+            f"attention needs q, k and v of one (batch, n, dim) shape, got "
+            f"{q.shape}, {k.shape} and {v.shape}")
+    batch, n, dim = q.shape
+    if heads < 1 or dim % heads:
+        raise ShapeError(f"attention dim {dim} does not split into {heads} heads")
+    dh = dim // heads
+    c = 1.0 / math.sqrt(dh)
+    dtype = q.data.dtype
+
+    def split(a):  # (batch, n, dim) -> (batch, heads, n, dh) view
+        return a.reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
+
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    step = max(1, _ATTENTION_BLOCK_BYTES // (heads * n * n * dtype.itemsize))
+    blocks = [slice(lo, lo + step) for lo in range(0, batch, step)]
+    keep = capture is not None or _recording((q, k, v))
+    probs = np.empty((batch, heads, n, n), dtype) if keep else None
+    out = np.empty((batch, n, dim), dtype)
+    ys = split(out)
+    for blk in blocks:
+        logits = (qs[blk] @ np.swapaxes(ks[blk], -1, -2)) * dtype.type(c)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
+        p = np.divide(e, denom.astype(dtype), out=probs[blk] if keep else None)
+        ys[blk] = p @ vs[blk]
+    if capture is not None:
+        capture.append(probs)
+
+    def backward(g):
+        gy = split(g)
+        grads = tuple(np.empty((batch, n, dim), dtype) for _ in range(3))
+        gq, gk, gv = (split(a) for a in grads)
+        for blk in blocks:
+            p = probs[blk]
+            gp = gy[blk] @ np.swapaxes(vs[blk], -1, -2)
+            gv[blk] = np.swapaxes(p, -1, -2) @ gy[blk]
+            glogits = (p * (gp - (gp * p).sum(axis=-1, keepdims=True))) * c
+            gq[blk] = glogits @ ks[blk]
+            gk[blk] = np.swapaxes(np.swapaxes(qs[blk], -1, -2) @ glogits, -1, -2)
+        return grads
+
+    return _record_op((q, k, v), out, backward)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -171,28 +172,62 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     return x
 
 
+# A parameter initializer maps (name, shape, fill) to the parameter's array;
+# fill is "normal", "zeros" or "ones". Layers ask for their parameters in
+# construction order, which fixes the random stream's draw order.
+Init = Callable[[str, tuple[int, ...], str], np.ndarray]
+
+
+def _random_init(seed: int) -> Init:
+    """Truncated-normal (std 0.02) weights, zero biases and unit gains."""
+    rng = np.random.default_rng(seed)
+
+    def init(name, shape, fill):
+        if fill == "normal":
+            return _trunc_normal(rng, shape, 0.02)
+        return np.ones(shape) if fill == "ones" else np.zeros(shape)
+
+    return init
+
+
+def _checkpoint_init(arrays: dict[str, np.ndarray], path) -> Init:
+    """Hand out each checkpoint array once, by name, checking its shape."""
+
+    def init(name, shape, fill):
+        if name not in arrays:
+            raise ConfigError(f"checkpoint {path} does not match model: "
+                              f"missing {name!r}")
+        arr = arrays.pop(name)
+        if arr.shape != shape:
+            raise ConfigError(
+                f"checkpoint tensor {name} has shape {arr.shape}, "
+                f"model expects {shape}")
+        return arr
+
+    return init
+
+
+def _param(init: Init, name: str, shape: tuple[int, ...], fill: str,
+           dtype) -> E.Tensor:
+    return E.parameter(init(name, shape, fill), name=name, dtype=dtype)
+
+
 class Linear:
-    def __init__(self, d_in: int, d_out: int, rng, name: str, dtype,
-                 std: float = 0.02):
-        self.d_out = d_out
-        self.w = E.parameter(_trunc_normal(rng, (d_in, d_out), std),
-                             name=f"{name}.w", dtype=dtype)
-        self.b = E.parameter(np.zeros(d_out), name=f"{name}.b", dtype=dtype)
+    def __init__(self, d_in: int, d_out: int, init: Init, name: str, dtype):
+        self.w = _param(init, f"{name}.w", (d_in, d_out), "normal", dtype)
+        self.b = _param(init, f"{name}.b", (d_out,), "zeros", dtype)
 
     def __call__(self, x: E.Tensor) -> E.Tensor:
-        shape = x.shape
-        flat = E.reshape(x, (-1, shape[-1]))
-        y = E.add(E.matmul(flat, self.w), self.b)
-        return E.reshape(y, shape[:-1] + (self.d_out,))
+        return E.linear(x, self.w, self.b)
 
     def params(self):
         return [self.w, self.b]
 
 
 class LayerNorm:
-    def __init__(self, dim: int, name: str, dtype):
-        self.gain = E.parameter(np.ones(dim), name=f"{name}.gain", dtype=dtype)
-        self.bias = E.parameter(np.zeros(dim), name=f"{name}.bias", dtype=dtype)
+    def __init__(self, dim: int, init: Init, name: str, dtype):
+        self.gain = _param(init, f"{name}.gain", (dim,), "ones", dtype)
+        self.bias = _param(init, f"{name}.bias", (dim,), "zeros", dtype)
 
     def __call__(self, x: E.Tensor) -> E.Tensor:
         return E.layer_norm(x, self.gain, self.bias, axis=-1)
@@ -202,40 +237,26 @@ class LayerNorm:
 
 
 class SelfAttention:
-    def __init__(self, dim: int, heads: int, rng, name: str, dtype):
+    def __init__(self, dim: int, heads: int, init: Init, name: str, dtype):
         self.heads = heads
-        self.head_dim = dim // heads
-        self.q = Linear(dim, dim, rng, f"{name}.q", dtype)
-        self.k = Linear(dim, dim, rng, f"{name}.k", dtype)
-        self.v = Linear(dim, dim, rng, f"{name}.v", dtype)
-        self.out = Linear(dim, dim, rng, f"{name}.out", dtype)
+        self.q = Linear(dim, dim, init, f"{name}.q", dtype)
+        self.k = Linear(dim, dim, init, f"{name}.k", dtype)
+        self.v = Linear(dim, dim, init, f"{name}.v", dtype)
+        self.out = Linear(dim, dim, init, f"{name}.out", dtype)
 
     def __call__(self, x: E.Tensor, capture: list | None) -> E.Tensor:
-        b, n, d = x.shape
-        h, dh = self.heads, self.head_dim
-
-        def split(t):
-            return E.transpose(E.reshape(t, (b, n, h, dh)), (0, 2, 1, 3))
-
-        q = split(self.q(x))
-        k = split(self.k(x))
-        v = split(self.v(x))
-        logits = E.scale(E.matmul(q, E.transpose(k, (0, 1, 3, 2))),
-                         1.0 / math.sqrt(dh))
-        weights = E.softmax(logits, axis=-1)
-        if capture is not None:
-            capture.append(weights.data.copy())
-        y = E.transpose(E.matmul(weights, v), (0, 2, 1, 3))
-        return self.out(E.reshape(y, (b, n, d)))
+        y = E.attention(self.q(x), self.k(x), self.v(x), self.heads, capture)
+        return self.out(y)
 
     def params(self):
         return self.q.params() + self.k.params() + self.v.params() + self.out.params()
 
 
 class Mlp:
-    def __init__(self, dim: int, hidden: int, dropout: float, rng, name: str, dtype):
-        self.fc1 = Linear(dim, hidden, rng, f"{name}.fc1", dtype)
-        self.fc2 = Linear(hidden, dim, rng, f"{name}.fc2", dtype)
+    def __init__(self, dim: int, hidden: int, dropout: float, init: Init, name: str,
+                 dtype):
+        self.fc1 = Linear(dim, hidden, init, f"{name}.fc1", dtype)
+        self.fc2 = Linear(hidden, dim, init, f"{name}.fc2", dtype)
         self.dropout = dropout
 
     def __call__(self, x: E.Tensor, training: bool, rng) -> E.Tensor:
@@ -250,11 +271,11 @@ class EncoderBlock:
     """Pre-norm block: x + MSA(LN(x)), then + MLP(LN(.))."""
 
     def __init__(self, dim: int, heads: int, mlp_dim: int, dropout: float,
-                 rng, name: str, dtype):
-        self.norm1 = LayerNorm(dim, f"{name}.norm1", dtype)
-        self.attn = SelfAttention(dim, heads, rng, f"{name}.attn", dtype)
-        self.norm2 = LayerNorm(dim, f"{name}.norm2", dtype)
-        self.mlp = Mlp(dim, mlp_dim, dropout, rng, f"{name}.mlp", dtype)
+                 init: Init, name: str, dtype):
+        self.norm1 = LayerNorm(dim, init, f"{name}.norm1", dtype)
+        self.attn = SelfAttention(dim, heads, init, f"{name}.attn", dtype)
+        self.norm2 = LayerNorm(dim, init, f"{name}.norm2", dtype)
+        self.mlp = Mlp(dim, mlp_dim, dropout, init, f"{name}.mlp", dtype)
 
     def __call__(self, x, training, rng, capture):
         x = E.add(x, self.attn(self.norm1(x), capture))
@@ -269,9 +290,9 @@ class EncoderStack:
     """K stacked blocks; K = 0 is the identity on the sequence."""
 
     def __init__(self, dim: int, layers: int, heads: int, mlp_dim: int,
-                 dropout: float, rng, name: str, dtype):
+                 dropout: float, init: Init, name: str, dtype):
         self.blocks = [
-            EncoderBlock(dim, heads, mlp_dim, dropout, rng,
+            EncoderBlock(dim, heads, mlp_dim, dropout, init,
                          f"{name}.block{i}", dtype)
             for i in range(layers)
         ]
@@ -302,11 +323,13 @@ class AttentionCapture:
 class BinauralTransformer:
     """The full two-ear model; see the module docstring for the data flow."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32,
+                 init: Init | None = None):
+        """``init`` overrides the seeded random initializer (see ``load``)."""
         self.config = config
         self.dtype = dtype
         self.grid = config.grid
-        rng = np.random.default_rng(seed)
+        init = init or _random_init(seed)
         patch_dim = config.patch * config.patch
 
         table = sincos_position_table(self.grid, config.dim)
@@ -314,26 +337,26 @@ class BinauralTransformer:
                                   name="pos_table", dtype=dtype)
 
         if config.shared:
-            proj = Linear(patch_dim, config.dim, rng, "ear.proj", dtype)
+            proj = Linear(patch_dim, config.dim, init, "ear.proj", dtype)
             self.proj_left = self.proj_right = proj
             stack = EncoderStack(config.dim, config.layers, config.heads,
-                                 config.mlp_dim, config.dropout, rng, "ear.enc", dtype)
+                                 config.mlp_dim, config.dropout, init, "ear.enc", dtype)
             self.enc_left = self.enc_right = stack
         else:
-            self.proj_left = Linear(patch_dim, config.dim, rng, "left.proj", dtype)
+            self.proj_left = Linear(patch_dim, config.dim, init, "left.proj", dtype)
             self.enc_left = EncoderStack(config.dim, config.layers, config.heads,
-                                         config.mlp_dim, config.dropout, rng,
+                                         config.mlp_dim, config.dropout, init,
                                          "left.enc", dtype)
-            self.proj_right = Linear(patch_dim, config.dim, rng, "right.proj", dtype)
+            self.proj_right = Linear(patch_dim, config.dim, init, "right.proj", dtype)
             self.enc_right = EncoderStack(config.dim, config.layers, config.heads,
-                                          config.mlp_dim, config.dropout, rng,
+                                          config.mlp_dim, config.dropout, init,
                                           "right.enc", dtype)
 
         self.enc_center = EncoderStack(config.center_dim, config.layers,
                                        config.heads, config.mlp_dim, config.dropout,
-                                       rng, "center.enc", dtype)
-        self.final_norm = LayerNorm(config.center_dim, "final_norm", dtype)
-        self.head = Linear(config.center_dim, 2, rng, "head", dtype)
+                                       init, "center.enc", dtype)
+        self.final_norm = LayerNorm(config.center_dim, init, "final_norm", dtype)
+        self.head = Linear(config.center_dim, 2, init, "head", dtype)
 
     # -- parameters ---------------------------------------------------------
 
@@ -412,26 +435,13 @@ class BinauralTransformer:
         save_tensors(path, {p.name: p.data for p in self.parameters()},
                      config_hash=self.config.hash())
 
-    def load_state(self, path) -> None:
-        """Load a checkpoint saved under an identical configuration."""
-        arrays, _ = load_tensors(path, expected_config_hash=self.config.hash())
-        params = self.named_parameters()
-        missing = set(params) - set(arrays)
-        extra = set(arrays) - set(params)
-        if missing or extra:
-            raise ConfigError(
-                f"checkpoint does not match model: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}")
-        for name, p in params.items():
-            if tuple(arrays[name].shape) != p.shape:
-                raise ConfigError(
-                    f"checkpoint tensor {name} has shape {arrays[name].shape}, "
-                    f"model expects {p.shape}")
-            p.data = arrays[name].astype(self.dtype)
-
     @classmethod
     def load(cls, path, config: ModelConfig, dtype=np.float32
              ) -> "BinauralTransformer":
-        model = cls(config, seed=0, dtype=dtype)
-        model.load_state(path)
+        """Build a model from a checkpoint saved under an identical configuration."""
+        arrays, _ = load_tensors(path, expected_config_hash=config.hash())
+        model = cls(config, dtype=dtype, init=_checkpoint_init(arrays, path))
+        if arrays:
+            raise ConfigError(f"checkpoint {path} does not match model: "
+                              f"unexpected {sorted(arrays)}")
         return model

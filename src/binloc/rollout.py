@@ -11,7 +11,6 @@ patch, which needs no class token.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,15 +126,27 @@ def rollout_from_capture(capture: AttentionCapture, n_h: int, n_t: int
     return record
 
 
-def upsample_grid(grid: np.ndarray, height: int, width: int, patch: int,
-                  stride: int) -> np.ndarray:
-    """Nearest-patch-center upsampling of a relevance grid to pixel size."""
-    n_h, n_t = grid.shape
+def _upsample_index(n_h: int, n_t: int, height: int, width: int, patch: int,
+                    stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid row and column of the nearest patch center for each pixel."""
     rows = np.clip(np.round((np.arange(height) - patch / 2.0) / stride),
                    0, n_h - 1).astype(int)
     cols = np.clip(np.round((np.arange(width) - patch / 2.0) / stride),
                    0, n_t - 1).astype(int)
-    return grid[np.ix_(rows, cols)]
+    return rows, cols
+
+
+def upsample_grid(grid: np.ndarray, height: int, width: int, patch: int,
+                  stride: int) -> np.ndarray:
+    """Nearest-patch-center upsampling of a relevance grid to pixel size."""
+    return grid[np.ix_(*_upsample_index(*grid.shape, height, width, patch, stride))]
+
+
+def _write_csv(path: Path, cells: np.ndarray) -> None:
+    r"""Write a 2-D array of formatted cells as ``csv.writer`` would: comma
+    separated, ``\r\n`` line ends (no float's repr needs quoting)."""
+    path.write_text("".join(",".join(row) + "\r\n" for row in cells.tolist()),
+                    encoding="utf-8", newline="")
 
 
 def export_heatmap(record: RolloutRecord, meta: dict, out_dir,
@@ -145,21 +156,23 @@ def export_heatmap(record: RolloutRecord, meta: dict, out_dir,
 
     Produces ``rollout_<id>_<ear>.csv`` (patch grid),
     ``rollout_<id>_<ear>_overlay.csv`` (pixel grid), and
-    ``rollout_<id>_meta.json``.
+    ``rollout_<id>_meta.json``. Values are written as ``repr`` of the float,
+    as ``csv.writer`` writes them; each is formatted once and repeated into
+    the overlay.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sample_id = meta.get("sample_id", "sample")
     written = []
     for ear, grid in record.relevance.items():
+        cells = np.array([repr(v) for v in grid.ravel().tolist()],
+                         dtype=object).reshape(grid.shape)
         path = out_dir / f"rollout_{sample_id}_{ear}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(grid.tolist())
+        _write_csv(path, cells)
         written.append(path)
-        overlay = upsample_grid(grid, height, width, patch, stride)
+        index = _upsample_index(*grid.shape, height, width, patch, stride)
         opath = out_dir / f"rollout_{sample_id}_{ear}_overlay.csv"
-        with open(opath, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(overlay.tolist())
+        _write_csv(opath, cells[np.ix_(*index)])
         written.append(opath)
     meta_path = out_dir / f"rollout_{sample_id}_meta.json"
     meta_path.write_text(json.dumps(

@@ -49,6 +49,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run"), "--config", str(config)]) == 1
         assert "'layerz'; did you mean 'layers'?" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["--azimuths", "abc"], ["--azimuths", "5"], ["--sources", "0"],
+        ["--ratio", "2"], ["--test-sources", "-1"]])
+    def test_bad_gen_data_argument_is_usage_error(self, args, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert main(["gen-data", "--out", str(out), *args]) == 1
+        assert args[0] in capsys.readouterr().err
+        assert not out.exists()  # rejected before rendering
+
     @pytest.mark.parametrize("command", [["eval"],
                                          ["rollout", "--sample-id", "x"]])
     def test_bad_run_config_is_runtime_failure(self, command, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tensor engine: forward contracts and gradient oracles."""
 
+import math
 import zlib
 
 import numpy as np
@@ -16,22 +17,28 @@ def _param(rng, shape):
     return E.parameter(rng.standard_normal(shape), dtype=np.float64)
 
 
+def _zero_bias(n):
+    return E.tensor(np.zeros(n), dtype=np.float64)
+
+
 class TestMatmul:
+    """The GEMM inside ``linear``, seen with a zero bias."""
+
     def test_identity(self):
         eye = E.tensor([[1.0, 0.0], [0.0, 1.0]])
         m = E.tensor([[3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_allclose(E.matmul(eye, m).data, m.data)
+        np.testing.assert_allclose(E.linear(m, eye, E.tensor(np.zeros(2))).data, m.data)
 
     def test_hand_example(self):
         a = E.tensor([[1.0, 2.0]])
         b = E.tensor([[3.0], [4.0]])
-        np.testing.assert_allclose(E.matmul(a, b).data, [[11.0]])
+        np.testing.assert_allclose(E.linear(a, b, E.tensor([0.0])).data, [[11.0]])
 
     def test_shape_error_names_both_shapes(self):
         a = E.tensor(np.zeros((2, 3)))
         b = E.tensor(np.zeros((4, 5)))
         with pytest.raises(E.ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-            E.matmul(a, b)
+            E.linear(a, b, E.tensor(np.zeros(5)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -41,7 +48,8 @@ class TestMatmul:
 
         def run():
             with E.Graph() as g:
-                loss = E.tsum(E.mul(E.matmul(a, b), E.tensor(w, dtype=np.float64)))
+                out = E.linear(a, b, _zero_bias(3))
+                loss = E.tsum(E.mul(out, E.tensor(w, dtype=np.float64)))
             return g, loss
 
         g, loss = run()
@@ -54,49 +62,72 @@ class TestMatmul:
         rng = np.random.default_rng(3)
         a = _param(rng, (4, 2, 5, 6))
         b = _param(rng, (6, 3))
-        out = E.matmul(a, b)
+        out = E.linear(a, b, _zero_bias(3))
         assert out.shape == (4, 2, 5, 3)
         with E.Graph() as g:
-            loss = E.tsum(E.matmul(a, b))
+            loss = E.tsum(E.linear(a, b, _zero_bias(3)))
         g.backward(loss)
         assert b.grad.shape == (6, 3)
+        assert a.grad.shape == (4, 2, 5, 6)
+
+
+def _attention_maps(q, k, heads=1):
+    """The softmax maps of ``attention`` over ``q`` and ``k`` (v = q)."""
+    capture = []
+    E.attention(q, k, q, heads, capture)
+    return capture[0]
 
 
 class TestSoftmax:
+    """The softmax inside ``attention``, seen through its captured maps."""
+
     def test_uniform(self):
-        out = E.softmax(E.tensor([0.0, 0.0, 0.0]), axis=-1)
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-7)
+        q = E.tensor(np.zeros((1, 3, 2)))
+        out = _attention_maps(q, E.tensor(np.ones((1, 3, 2))))
+        np.testing.assert_allclose(out, 1 / 3, atol=1e-7)
 
     def test_large_input_stable(self):
-        out = E.softmax(E.tensor([1000.0, 0.0]), axis=-1)
-        assert np.all(np.isfinite(out.data))
-        np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-12)
+        # one head of width 1: the logits are q_i * k_j = [1000, 0] in every row
+        q = E.tensor(np.ones((1, 2, 1)), dtype=np.float64)
+        k = E.tensor([[[1000.0], [0.0]]], dtype=np.float64)
+        out = _attention_maps(q, k)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out[0, 0], [[1.0, 0.0], [1.0, 0.0]], atol=1e-12)
 
     def test_rows_sum_to_one_and_positive(self):
         rng = np.random.default_rng(5)
-        x = E.tensor(rng.standard_normal((8, 17)) * 10)
-        out = E.softmax(x, axis=1)
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
-        assert np.all(out.data > 0)
+        q = E.tensor(rng.standard_normal((2, 17, 8)) * 2)
+        k = E.tensor(rng.standard_normal((2, 17, 8)) * 2)
+        out = _attention_maps(q, k, heads=2)
+        assert out.shape == (2, 2, 17, 17)
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
+        assert np.all(out > 0)
 
     def test_invalid_axis(self):
-        with pytest.raises(E.ShapeError):
-            E.softmax(E.tensor(np.zeros((2, 2))), axis=5)
+        # the heads must split the feature axis evenly
+        x = E.tensor(np.zeros((1, 2, 6)))
+        with pytest.raises(E.ShapeError, match="6 does not split into 4 heads"):
+            E.attention(x, x, x, heads=4)
 
     def test_gradient(self):
+        # with v = I (one head as wide as the sequence) the output is the maps
         rng = np.random.default_rng(6)
-        x = _param(rng, (3, 5))
-        w = rng.standard_normal((3, 5))
+        q = _param(rng, (3, 5, 5))
+        k = _param(rng, (3, 5, 5))
+        v = E.tensor(np.broadcast_to(np.eye(5), (3, 5, 5)), dtype=np.float64)
+        w = rng.standard_normal((3, 5, 5))
 
         def run():
             with E.Graph() as g:
-                loss = E.tsum(E.mul(E.softmax(x, axis=-1), E.tensor(w, dtype=np.float64)))
+                out = E.attention(q, k, v, heads=1)
+                loss = E.tsum(E.mul(out, E.tensor(w, dtype=np.float64)))
             return g, loss
 
         g, loss = run()
         g.backward(loss)
-        (fd,) = central_diff(lambda: run()[1].item(), [x.data])
-        assert max_rel_err(x.grad, fd) <= 1e-4
+        fd_q, fd_k = central_diff(lambda: run()[1].item(), [q.data, k.data])
+        assert max_rel_err(q.grad, fd_q) <= 1e-4
+        assert max_rel_err(k.grad, fd_k) <= 1e-4
 
 
 class TestLayerNorm:
@@ -253,13 +284,18 @@ class TestBackward:
         assert out.requires_grad is False
 
 
-@pytest.mark.parametrize("opname", ["add", "sub", "mul", "tmean", "reshape",
-                                    "transpose", "concat"])
+@pytest.mark.parametrize("opname", ["add", "sub", "mul", "tmean", "concat",
+                                    "linear", "attention"])
 def test_op_gradients_match_finite_differences(opname):
     # str hash() is salted per process; crc32 keeps the inputs fixed
     rng = np.random.default_rng(zlib.crc32(opname.encode()))
     a = E.parameter(rng.uniform(0.3, 1.7, (4, 6)), dtype=np.float64)
     b = E.parameter(rng.uniform(0.3, 1.7, (4, 6)), dtype=np.float64)
+    # the fused ops take 3-D inputs: (batch, n, features)
+    x, y, z = (E.parameter(rng.uniform(0.3, 1.7, (2, 3, 6)), dtype=np.float64)
+               for _ in range(3))
+    w = E.parameter(rng.uniform(-1.0, 1.0, (6, 5)), dtype=np.float64)
+    bias = E.parameter(rng.uniform(-1.0, 1.0, (5,)), dtype=np.float64)
 
     def build():
         if opname == "add":
@@ -270,12 +306,12 @@ def test_op_gradients_match_finite_differences(opname):
             return E.mul(a, b), [a, b]
         if opname == "tmean":
             return E.tmean(a, axis=1), [a]
-        if opname == "reshape":
-            return E.reshape(a, (2, 12)), [a]
-        if opname == "transpose":
-            return E.transpose(a, (1, 0)), [a]
         if opname == "concat":
             return E.concat([a, b], axis=1), [a, b]
+        if opname == "linear":
+            return E.linear(x, w, bias), [x, w, bias]
+        if opname == "attention":
+            return E.attention(x, y, z, heads=2, capture=[]), [x, y, z]
         raise AssertionError(opname)
 
     def run():
@@ -290,6 +326,117 @@ def test_op_gradients_match_finite_differences(opname):
     fds = central_diff(lambda: run()[1].item(), [t.data for t in tracked])
     for t, fd in zip(tracked, fds):
         assert max_rel_err(t.grad, fd, floor=1e-5) <= 1e-4, opname
+
+
+def _old_linear_chain(x, w, b, g):
+    """The reshape -> matmul -> add -> reshape chain ``linear`` replaced."""
+    flat = x.reshape(-1, x.shape[-1])
+    y = (np.matmul(flat, w) + b).reshape(x.shape[:-1] + (w.shape[1],))
+    g2 = g.reshape(-1, w.shape[1])
+    gx = np.matmul(g2, np.swapaxes(w, -1, -2)).reshape(x.shape)
+    return y, (gx, np.matmul(np.swapaxes(flat, -1, -2), g2), g2.sum(axis=(0,)))
+
+
+def _old_attention_chain(q, k, v, heads, g):
+    """The split -> matmul -> scale -> softmax -> matmul -> merge chain
+    ``attention`` replaced, with each primitive's backward."""
+    b, n, d = q.shape
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(t):
+        return t.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    qs, ks, vs = split(q), split(k), split(v)
+    kt = ks.transpose(0, 1, 3, 2)
+    logits = np.matmul(qs, kt) * q.dtype.type(c)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(q.dtype)
+    y = merge(np.matmul(p, vs))
+    gy = split(g)
+    gp = np.matmul(gy, np.swapaxes(vs, -1, -2))
+    gv = np.matmul(np.swapaxes(p, -1, -2), gy)
+    glogits = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
+    gq = np.matmul(glogits, np.swapaxes(kt, -1, -2))
+    gk = np.matmul(np.swapaxes(qs, -1, -2), glogits).transpose(0, 1, 3, 2)
+    return y, p, (merge(gq), merge(gk), merge(gv))
+
+
+def _run_fused(op, inputs, out_shape, seed):
+    """Forward ``op`` on float32 parameters and backprop sum(out * w)."""
+    params = [E.parameter(a) for a in inputs]
+    wt = np.random.default_rng(seed).standard_normal(out_shape).astype(np.float32)
+    with E.Graph() as g:
+        out = op(*params)
+        loss = E.tsum(E.mul(out, E.tensor(wt)))
+    g.backward(loss)
+    return out.data, [p.grad for p in params], wt
+
+
+class TestFusedOps:
+    def test_linear_matches_old_chain_bitwise(self):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((4, 7, 24)).astype(np.float32)
+        w = (rng.standard_normal((24, 40)) * 0.1).astype(np.float32)
+        b = rng.standard_normal(40).astype(np.float32)
+        out, grads, g = _run_fused(E.linear, (x, w, b), (4, 7, 40), 21)
+        ref, ref_grads = _old_linear_chain(x, w, b, g)
+        assert np.array_equal(out, ref)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+
+    def test_attention_matches_old_chain_bitwise(self):
+        rng = np.random.default_rng(22)
+        q, k, v = (rng.standard_normal((5, 19, 16)).astype(np.float32)
+                   for _ in range(3))
+        capture = []
+        out, grads, g = _run_fused(
+            lambda *t: E.attention(*t, heads=4, capture=capture), (q, k, v),
+            (5, 19, 16), 23)
+        ref, ref_maps, ref_grads = _old_attention_chain(q, k, v, 4, g)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(capture[0], ref_maps)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        q, k, v = (rng.standard_normal((5, 23, 12)).astype(np.float32)
+                   for _ in range(3))
+        map_bytes = 3 * 23 * 23 * 4
+        runs = []
+        for samples in (1, 2, 5):
+            monkeypatch.setattr(E, "_ATTENTION_BLOCK_BYTES", samples * map_bytes)
+            capture = []
+            out, grads, _ = _run_fused(
+                lambda *t: E.attention(*t, heads=3, capture=capture), (q, k, v),
+                (5, 23, 12), 25)
+            runs.append((out, capture[0], *grads))
+        for other in runs[1:]:
+            for got, want in zip(other, runs[0]):
+                assert np.array_equal(got, want)
+
+    def test_linear_bias_shape_checked(self):
+        with pytest.raises(E.ShapeError, match=r"\(4,\)"):
+            E.linear(E.tensor(np.zeros((2, 3))), E.tensor(np.zeros((3, 5))),
+                     E.tensor(np.zeros(4)))
+
+    def test_attention_operand_shapes_checked(self):
+        q = E.tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(E.ShapeError, match=r"\(2, 3, 4\).*\(2, 5, 4\)"):
+            E.attention(q, E.tensor(np.zeros((2, 5, 4))), q, heads=2)
+        with pytest.raises(E.ShapeError, match="batch, n, dim"):
+            E.attention(E.tensor(np.zeros((3, 4))), E.tensor(np.zeros((3, 4))),
+                        E.tensor(np.zeros((3, 4))), heads=2)
+
+    def test_eval_attention_keeps_no_maps(self):
+        q = E.tensor(np.ones((1, 3, 4)))
+        out = E.attention(q, q, q, heads=2)
+        assert out.requires_grad is False
+        np.testing.assert_allclose(out.data, 1.0, atol=1e-6)
 
 
 class TestAdam:

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binloc import engine as E
-from binloc.checkpoint import CheckpointError
+from binloc import model as model_module
+from binloc.checkpoint import CheckpointError, save_tensors
+from binloc.config import desk_profile
+from binloc.losses import make_loss
 from binloc.model import (
     BinauralTransformer,
     ConfigError,
@@ -232,6 +235,17 @@ class TestForward:
         with pytest.raises(ConfigError, match="shape"):
             model.predict(np.zeros((1, 10, 10)), np.zeros((1, 10, 10)))
 
+    def test_desk_step_records_124_tape_nodes(self):
+        # one node per Linear, attention, layer norm, GELU, residual add,
+        # integration, pool and loss op
+        cfg = desk_profile()
+        model = BinauralTransformer(cfg.model, seed=0)
+        x = np.zeros((2, cfg.model.height, cfg.model.width))
+        with E.Graph() as g:
+            pred = model.forward(x, x, training=True, rng=np.random.default_rng(0))
+            make_loss(cfg.loss)(np.ones((2, 2)), pred)
+        assert len(g) == 124
+
 
 class TestParameterBudgets:
     def test_full_scale_counts(self):
@@ -291,6 +305,37 @@ class TestCheckpointing:
         model.save(path)
         restored = BinauralTransformer.load(path, TINY)
         np.testing.assert_array_equal(restored.predict(xl, xr), before)
+
+    def test_load_restores_saved_bits_without_random_init(self, tmp_path,
+                                                          monkeypatch):
+        model = BinauralTransformer(dataclasses.replace(TINY, shared=True), seed=3)
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+
+        def no_random_init(*args):
+            raise AssertionError("load drew a random init")
+
+        monkeypatch.setattr(model_module, "_trunc_normal", no_random_init)
+        restored = BinauralTransformer.load(path, model.config)
+        saved = model.named_parameters()
+        loaded = restored.named_parameters()
+        assert list(loaded) == list(saved)
+        for name, p in saved.items():
+            assert np.array_equal(loaded[name].data, p.data), name
+        assert restored.enc_left is restored.enc_right
+
+    def test_missing_or_extra_tensor_rejected(self, tmp_path):
+        model = BinauralTransformer(TINY, seed=0)
+        arrays = {p.name: p.data for p in model.parameters()}
+        path = tmp_path / "model.ckpt"
+        save_tensors(path, {k: v for k, v in arrays.items() if k != "head.b"},
+                     config_hash=TINY.hash())
+        with pytest.raises(ConfigError, match="missing 'head.b'"):
+            BinauralTransformer.load(path, TINY)
+        save_tensors(path, {**arrays, "head.extra": np.zeros(2)},
+                     config_hash=TINY.hash())
+        with pytest.raises(ConfigError, match="unexpected \\['head.extra'\\]"):
+            BinauralTransformer.load(path, TINY)
 
     def test_config_mismatch_rejected(self, tmp_path):
         model = BinauralTransformer(TINY, seed=0)

@@ -2,14 +2,16 @@
 
 import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 
-from binloc.model import BinauralTransformer, ModelConfig
+from binloc.model import BinauralTransformer, ModelConfig, patch_counts
 from binloc.rollout import (
     RolloutError,
+    RolloutRecord,
     bast_rollout,
     export_heatmap,
     layer_rollout,
@@ -170,6 +172,25 @@ class TestExport:
         meta_loaded = json.loads((tmp_path / "rollout_demo_meta.json").read_text())
         assert meta_loaded["azimuth"] == 40
         assert meta_loaded["overlay_shape"] == [20, 16]
+
+
+    @pytest.mark.parametrize("stride", [12, 6])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, stride):
+        # the desk (stride 12) and the stride-6 patch grids of a 129 x 61 input
+        grid = patch_counts(129, 61, 16, stride)
+        rng = np.random.default_rng(stride)
+        record = RolloutRecord(grid_shape=(grid.n_h, grid.n_t))
+        record.relevance = {ear: rng.random((grid.n_h, grid.n_t)) / 7
+                            for ear in ("left", "right", "center")}
+        record.relevance["left"][0, 0] = 1e-7
+        export_heatmap(record, {"sample_id": "s"}, tmp_path, stride=stride)
+        for ear, values in record.relevance.items():
+            overlay = upsample_grid(values, 129, 61, 16, stride)
+            for suffix, rows in (("", values), ("_overlay", overlay)):
+                expected = io.StringIO(newline="")
+                csv.writer(expected).writerows(rows.tolist())
+                written = (tmp_path / f"rollout_s_{ear}{suffix}.csv").read_bytes()
+                assert written == expected.getvalue().encode("utf-8")
 
 
 class TestRelevanceGrid:
