@@ -15,10 +15,9 @@ loading casts back to the requested dtype.
 
 from __future__ import annotations
 
-import json
-import struct
-
 import numpy as np
+
+from .util import read_tensor_file, write_tensor_file
 
 MAGIC = b"BLTENS1\n"
 
@@ -31,6 +30,7 @@ class CheckpointError(RuntimeError):
 
 def save_tensors(path, tensors: dict[str, np.ndarray],
                  config_hash: str | None = None) -> None:
+    """Write ``tensors`` atomically: a failed save leaves the old file intact."""
     entries = {}
     offset = 0
     blobs = []
@@ -40,14 +40,8 @@ def save_tensors(path, tensors: dict[str, np.ndarray],
                          "count": int(arr.size)}
         blobs.append(arr)
         offset += arr.size
-    manifest = json.dumps({"config_hash": config_hash, "tensors": entries},
-                          sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(manifest)))
-        fh.write(manifest)
-        for blob in blobs:
-            fh.write(blob.astype("<f4", copy=False).tobytes())
+    write_tensor_file(path, MAGIC, {"config_hash": config_hash, "tensors": entries},
+                      blobs)
 
 
 def load_tensors(path, expected_config_hash: str | None = None
@@ -56,19 +50,13 @@ def load_tensors(path, expected_config_hash: str | None = None
 
     If ``expected_config_hash`` is given it must match the stored hash.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: not a tensor checkpoint")
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        payload = fh.read()
+    manifest, flat = read_tensor_file(path, MAGIC, "tensor checkpoint",
+                                      CheckpointError)
     stored_hash = manifest.get("config_hash")
     if expected_config_hash is not None and stored_hash != expected_config_hash:
         raise CheckpointError(
             f"{path}: checkpoint config hash {stored_hash!r} does not match "
             f"expected {expected_config_hash!r}")
-    flat = np.frombuffer(payload, dtype="<f4")
     out = {}
     for name, entry in manifest["tensors"].items():
         start = entry["offset"]

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .frontend import FrontendConfig, binaural_spectrogram, load_spectrogram_cache, \
-    save_spectrogram_cache
+from .frontend import FrontendConfig, FrontendError, binaural_spectrogram, \
+    load_spectrogram_cache, save_spectrogram_cache
 from .spatial import DatasetManifest, azimuth_to_xy, load_manifest, read_wav
 
 __all__ = ["Sample", "load_samples", "batches"]
@@ -37,8 +38,9 @@ def load_samples(manifest_path, frontend_cfg: FrontendConfig,
     ``splits``/``environments`` filter records before anything is read;
     ``access_log`` (if given) collects the ids actually touched, which
     makes environment-filter audits possible. ``cache_path`` points at an
-    optional spectrogram cache that is reused when its config hash matches
-    and (re)written otherwise.
+    optional spectrogram cache that is reused when it was built from this
+    corpus under this frontend config; a cache that is not, or that is cut
+    short, is rebuilt with one line on stderr naming the cause.
     """
     manifest: DatasetManifest = load_manifest(manifest_path)
     root = Path(manifest_path).parent
@@ -49,9 +51,10 @@ def load_samples(manifest_path, frontend_cfg: FrontendConfig,
     cached: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     if cache_path is not None and Path(cache_path).exists():
         try:
-            cached = load_spectrogram_cache(cache_path, frontend_cfg)
-        except Exception:
-            cached = {}
+            cached = load_spectrogram_cache(cache_path, frontend_cfg,
+                                            corpus_hash=manifest.config_hash)
+        except FrontendError as exc:
+            sys.stderr.write(f"rebuilding spectrogram cache: {exc}\n")
 
     samples = []
     fresh: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -67,7 +70,8 @@ def load_samples(manifest_path, frontend_cfg: FrontendConfig,
                               azimuth_to_xy(r.azimuth).astype(np.float32)))
     if cache_path is not None and fresh:
         cached.update(fresh)
-        save_spectrogram_cache(cache_path, cached, frontend_cfg)
+        save_spectrogram_cache(cache_path, cached, frontend_cfg,
+                               corpus_hash=manifest.config_hash)
     return samples
 
 

@@ -8,12 +8,11 @@ standardization prepare the pair for training.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .util import config_hash, to_kv
+from .util import config_hash, read_tensor_file, to_kv, write_tensor_file
 
 __all__ = [
     "Waveform",
@@ -153,49 +152,49 @@ _CACHE_MAGIC = b"BLSPEC1\n"
 
 
 def save_spectrogram_cache(path, entries: dict[str, tuple[np.ndarray, np.ndarray]],
-                           cfg: FrontendConfig) -> None:
-    """Write named (left, right) spectrogram pairs tagged with the config hash."""
-    import json
+                           cfg: FrontendConfig, *, corpus_hash: str | None = None
+                           ) -> None:
+    """Write named (left, right) spectrogram pairs tagged with the frontend
+    config hash and the hash of the corpus they came from.
 
-    manifest = {"config_hash": cfg.hash(), "entries": {}}
+    The write is atomic: a failed save leaves the old file intact.
+    """
+    manifest = {"config_hash": cfg.hash(), "corpus_hash": corpus_hash, "entries": {}}
     offset = 0
     blobs = []
     for name, (left, right) in entries.items():
-        pair = np.stack([left, right]).astype("<f4")
+        pair = np.stack([left, right])
         manifest["entries"][name] = {"shape": list(pair.shape), "offset": offset}
         blobs.append(pair)
         offset += pair.size
-    head = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
-        for blob in blobs:
-            fh.write(blob.tobytes())
+    write_tensor_file(path, _CACHE_MAGIC, manifest, blobs)
 
 
-def load_spectrogram_cache(path, cfg: FrontendConfig
+def load_spectrogram_cache(path, cfg: FrontendConfig, *, corpus_hash: str | None = None
                            ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Read a cache written by ``save_spectrogram_cache``.
 
-    Raises ``FrontendError`` when the stored config hash does not match.
+    Raises ``FrontendError`` when the file is not a cache or is cut short,
+    when the stored frontend config hash does not match ``cfg``, and, if
+    ``corpus_hash`` is given, when the cache was built from another corpus.
     """
-    import json
-
-    with open(path, "rb") as fh:
-        if fh.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
-            raise FrontendError(f"{path}: not a spectrogram cache")
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        payload = np.frombuffer(fh.read(), dtype="<f4")
+    manifest, payload = read_tensor_file(path, _CACHE_MAGIC, "spectrogram cache",
+                                         FrontendError)
     if manifest["config_hash"] != cfg.hash():
         raise FrontendError(
             f"{path}: cache was generated under config {manifest['config_hash']}, "
             f"current config is {cfg.hash()}")
+    stored_corpus = manifest.get("corpus_hash")
+    if corpus_hash is not None and stored_corpus != corpus_hash:
+        raise FrontendError(
+            f"{path}: cache was built from corpus {stored_corpus}, "
+            f"current corpus is {corpus_hash}")
     out = {}
     for name, entry in manifest["entries"].items():
         shape = tuple(entry["shape"])
         count = int(np.prod(shape))
+        if entry["offset"] + count > payload.size:
+            raise FrontendError(f"{path}: truncated payload for {name!r}")
         pair = payload[entry["offset"]:entry["offset"] + count].reshape(shape)
         out[name] = (pair[0].copy(), pair[1].copy())
     return out

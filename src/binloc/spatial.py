@@ -193,14 +193,36 @@ def _ear_signal(src: np.ndarray, dist: float, lateral_sin: float,
     gain = 10.0 ** (6.0 * ips / 20.0)
     beta = 0.5 * max(0.0, -ips)  # contralateral first-order head shadow
     y = _delayed(src, delay * SAMPLE_RATE, n_out) * (amp * gain / max(dist, 0.1))
-    # zero-phase shadows keep the interaural delay purely Woodworth
-    y = scipy.signal.filtfilt([1.0 - beta], [1.0, -beta], y)
+    # zero-phase shadows keep the interaural delay purely Woodworth; the
+    # ipsilateral ear has beta 0, an identity filter
+    if beta > 0.0:
+        y = _zero_phase_pole(y, beta)
     # pinna stand-in: rear sources lose high frequencies on both ears,
     # without it every anechoic azimuth pair (t, 180-t) is inseparable
     beta_fb = 0.35 * max(0.0, -front_cos)
     if beta_fb > 0.0:
-        y = scipy.signal.filtfilt([1.0 - beta_fb], [1.0, -beta_fb], y)
+        y = _zero_phase_pole(y, beta_fb)
     return y
+
+
+_PAD = 6  # filtfilt's default odd extension for a two-tap filter
+
+
+def _zero_phase_pole(y: np.ndarray, beta: float) -> np.ndarray:
+    """``scipy.signal.filtfilt([1 - beta], [1, -beta], y)``, bit for bit.
+
+    The same odd extension, steady-state initial conditions and
+    forward-backward ``lfilter`` passes, without filtfilt's general-order
+    setup; ``zi`` is the closed form of ``lfilter_zi``'s 1x1 solve.
+    """
+    b = np.array([1.0 - beta])
+    a = np.array([1.0, -beta])
+    zi = np.array([(0.0 - a[1] * b[0]) / (1.0 - beta)])
+    ext = np.concatenate((2 * y[:1] - y[_PAD:0:-1], y,
+                          2 * y[-1:] - y[-2:-(_PAD + 2):-1]))
+    fwd, _ = scipy.signal.lfilter(b, a, ext, zi=zi * ext[:1])
+    back, _ = scipy.signal.lfilter(b, a, fwd[::-1], zi=zi * fwd[-1:])
+    return back[::-1][_PAD:-_PAD]
 
 
 def _axis_images(n: int, length: float, source: float) -> float:
@@ -213,6 +235,11 @@ def _render(src: np.ndarray, src_pos: np.ndarray, scene: SceneConfig) -> np.ndar
     refl = math.sqrt(1.0 - scene.absorption)
     n_out = src.size
     out = np.zeros((2, n_out))
+    # _ear_signal sees an image only through (dist, lateral, front, amp);
+    # images (nx, ny, +nz) and (nx, ny, -nz) share them when the source and
+    # listener are level, so each distinct key is rendered once and its
+    # signals are added again in loop order, which keeps the sums' bits
+    rendered: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for nx in range(-order, order + 1):
         for ny in range(-order, order + 1):
             rem = order - abs(nx) - abs(ny)
@@ -228,10 +255,14 @@ def _render(src: np.ndarray, src_pos: np.ndarray, scene: SceneConfig) -> np.ndar
                 lateral = d[0] / horiz if horiz > 1e-12 else 0.0
                 front = d[1] / horiz if horiz > 1e-12 else 1.0
                 amp = refl ** (abs(nx) + abs(ny) + abs(nz))
-                out[0] += _ear_signal(src, dist, lateral, front, -1, amp,
-                                      scene, n_out)
-                out[1] += _ear_signal(src, dist, lateral, front, +1, amp,
-                                      scene, n_out)
+                key = (dist, lateral, front, amp)
+                if key not in rendered:
+                    rendered[key] = tuple(
+                        _ear_signal(src, dist, lateral, front, ear, amp, scene, n_out)
+                        for ear in (-1, +1))
+                left, right = rendered[key]
+                out[0] += left
+                out[1] += right
     return out
 
 
@@ -246,6 +277,9 @@ def render_binaural(source: Waveform, target: LocalizationTarget,
     """
     if source.channels != 1:
         raise SpatialError(f"source must be mono, got {source.channels} channels")
+    if source.length <= _PAD:
+        raise SpatialError(
+            f"source must be longer than {_PAD} samples, got {source.length}")
     lis = np.asarray(scene.listener)
     xy = azimuth_to_xy(target.azimuth)
     src_pos = np.array([lis[0] + xy[0], lis[1] + xy[1], lis[2]])

@@ -1,15 +1,22 @@
-"""Small shared helpers: config hashing, the config codec and key=value files."""
+"""Small shared helpers: config hashing, the config codec, key=value files
+and the tensor file envelope."""
 
 from __future__ import annotations
 
 import difflib
 import functools
 import hashlib
+import json
+import os
+import struct
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-__all__ = ["config_hash", "to_kv", "from_kv", "write_kv", "read_kv"]
+import numpy as np
+
+__all__ = ["config_hash", "to_kv", "from_kv", "write_kv", "read_kv",
+           "write_tensor_file", "read_tensor_file"]
 
 _BOOLS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False}
@@ -118,3 +125,57 @@ def read_kv(path) -> dict[str, str]:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+# ---------------------------------------------------------------------------
+# tensor files: magic, uint32 header length, JSON header, float32 payload
+
+
+def write_tensor_file(path, magic: bytes, header: dict, arrays) -> None:
+    """Write ``magic``, the sorted-key JSON ``header`` and ``arrays`` as
+    little-endian float32.
+
+    The bytes go to a temp file next to ``path`` that then replaces it, so a
+    failed write leaves the previous file as it was.
+    """
+    path = Path(path)
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack("<I", len(head)))
+            fh.write(head)
+            for arr in arrays:
+                fh.write(arr.astype("<f4", copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_tensor_file(path, magic: bytes, what: str, error: type[Exception]
+                     ) -> tuple[dict, np.ndarray]:
+    """Read a file written by ``write_tensor_file``: (header, float32 payload).
+
+    Raises ``error`` naming ``path`` when the magic is not ``magic`` (the
+    file is not a ``what``) or the header is cut short or unreadable. The
+    caller checks that the payload covers the header's entries.
+    """
+    data = Path(path).read_bytes()
+    start = len(magic) + 4
+    if data[:len(magic)] != magic:
+        raise error(f"{path}: not a {what}")
+    if len(data) < start:
+        raise error(f"{path}: truncated header")
+    (mlen,) = struct.unpack_from("<I", data, len(magic))
+    if len(data) < start + mlen:
+        raise error(f"{path}: truncated header")
+    try:
+        header = json.loads(data[start:start + mlen].decode("utf-8"))
+    except ValueError as exc:
+        raise error(f"{path}: unreadable header ({exc})") from None
+    start += mlen
+    payload = np.frombuffer(data, dtype="<f4", count=(len(data) - start) // 4,
+                            offset=start)
+    return header, payload

@@ -34,3 +34,31 @@ def max_rel_err(a, b, floor=1e-6):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+class _FailingFile:
+    """A binary file whose ``write`` raises once ``writes`` calls succeeded."""
+
+    def __init__(self, fh, writes):
+        self._fh = fh
+        self._writes = writes
+
+    def write(self, data):
+        if self._writes == 0:
+            raise OSError(28, "No space left on device")
+        self._writes -= 1
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def fail_writes_after(monkeypatch, module, writes):
+    """Make files opened through ``module.open`` fail after ``writes`` writes,
+    as a full disk would halfway through a save."""
+    monkeypatch.setattr(module, "open",
+                        lambda path, mode: _FailingFile(open(path, mode), writes),
+                        raising=False)

@@ -1,6 +1,7 @@
 """Spectrogram frontend: window shapes, STFT geometry, cache format."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from binloc.frontend import (
     stft_magnitude,
     tukey_window,
 )
+from binloc import util
+from helpers import fail_writes_after
 
 RAW = dataclasses.replace(CANONICAL, log_compress=False, standardize=False)
 
@@ -174,3 +177,42 @@ class TestSpectrogramCache:
         other = FrontendConfig(log_compress=False)
         with pytest.raises(FrontendError, match="config"):
             load_spectrogram_cache(path, other)
+
+    def test_corpus_hash_guard(self, tmp_path):
+        rng = np.random.default_rng(11)
+        path = tmp_path / "spec.cache"
+        save_spectrogram_cache(path, {"a": binaural_spectrogram(_stereo(rng))},
+                               CANONICAL, corpus_hash="c1")
+        assert set(load_spectrogram_cache(path, CANONICAL, corpus_hash="c1")) == {"a"}
+        assert set(load_spectrogram_cache(path, CANONICAL)) == {"a"}
+        with pytest.raises(FrontendError, match="corpus c1"):
+            load_spectrogram_cache(path, CANONICAL, corpus_hash="c2")
+
+    @pytest.mark.parametrize("keep,match", [
+        (lambda size: size - 1, "truncated payload for 'b'"),
+        (lambda size: 10, "truncated header"),
+        (lambda size: 20, "truncated header"),
+    ])
+    def test_truncated_cache_rejected(self, tmp_path, keep, match):
+        rng = np.random.default_rng(12)
+        path = tmp_path / "spec.cache"
+        save_spectrogram_cache(path, {name: binaural_spectrogram(_stereo(rng))
+                                      for name in ("a", "b")}, CANONICAL)
+        data = path.read_bytes()
+        path.write_bytes(data[:keep(len(data))])
+        with pytest.raises(FrontendError, match=match):
+            load_spectrogram_cache(path, CANONICAL)
+
+    def test_failed_save_keeps_previous_cache(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(13)
+        old = {"a": binaural_spectrogram(_stereo(rng))}
+        path = tmp_path / "spec.cache"
+        save_spectrogram_cache(path, old, CANONICAL)
+        fail_writes_after(monkeypatch, util, 3)  # magic, length, header
+        with pytest.raises(OSError, match="No space"):
+            save_spectrogram_cache(path, {"b": binaural_spectrogram(_stereo(rng))},
+                                   CANONICAL)
+        loaded = load_spectrogram_cache(path, CANONICAL)
+        assert set(loaded) == {"a"}
+        np.testing.assert_array_equal(loaded["a"][0], old["a"][0])
+        assert os.listdir(tmp_path) == ["spec.cache"]

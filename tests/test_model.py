@@ -1,6 +1,7 @@
 """Architecture contracts: patch geometry, encoders, integration, budgets."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from binloc import engine as E
 from binloc import model as model_module
-from binloc.checkpoint import CheckpointError, save_tensors
+from binloc import util
+from binloc.checkpoint import CheckpointError, load_tensors, save_tensors
 from binloc.config import desk_profile
 from binloc.losses import make_loss
 from binloc.model import (
@@ -23,6 +25,7 @@ from binloc.model import (
     sincos_position_table,
 )
 from binloc.util import from_kv, to_kv
+from helpers import fail_writes_after
 
 TINY = ModelConfig(height=20, width=16, patch=8, stride=6, dim=32, layers=1,
                    heads=2, mlp_dim=32, dropout=0.0, integration="sub")
@@ -336,6 +339,28 @@ class TestCheckpointing:
                      config_hash=TINY.hash())
         with pytest.raises(ConfigError, match="unexpected \\['head.extra'\\]"):
             BinauralTransformer.load(path, TINY)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "best.ckpt"
+        save_tensors(path, {"w": np.ones(3)}, config_hash="old")
+        fail_writes_after(monkeypatch, util, 3)  # magic, length, header
+        with pytest.raises(OSError, match="No space"):
+            save_tensors(path, {"w": np.zeros(3), "v": np.zeros(4)}, config_hash="new")
+        arrays, stored = load_tensors(path)
+        assert stored == "old"
+        np.testing.assert_array_equal(arrays["w"], np.ones(3))
+        assert os.listdir(tmp_path) == ["best.ckpt"]
+
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "best.ckpt"
+        save_tensors(path, {"w": np.ones(3), "v": np.ones(4)})
+        data = path.read_bytes()
+        path.write_bytes(data[:-3])
+        with pytest.raises(CheckpointError, match="truncated payload for 'v'"):
+            load_tensors(path)
+        path.write_bytes(data[:14])
+        with pytest.raises(CheckpointError, match="truncated header"):
+            load_tensors(path)
 
     def test_config_mismatch_rejected(self, tmp_path):
         model = BinauralTransformer(TINY, seed=0)

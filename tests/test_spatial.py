@@ -1,9 +1,11 @@
 """Synthetic corpus: sources, interaural cues, room reverb, dataset splits."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from binloc import spatial as S
 from binloc.frontend import Waveform
@@ -128,6 +130,84 @@ class TestRenderBinaural:
     def test_anechoic_iff_order_zero(self):
         assert AE.is_anechoic
         assert not RV.is_anechoic
+
+
+# sha256 of render_binaural(...).samples.tobytes() for make_source(kind,
+# seed=20 + index of kind), taken from the scipy.signal.filtfilt renderer
+# (numpy 2.4, scipy 1.17, x86-64 glibc). Any change to the rendered float64
+# bits, including one a different libm would cause, shows here.
+_RENDER_SHA256 = {
+    ("AE", "white-noise", 0): "e87c7b24c3906e420796767aeb516fce7127ddb639d462295fefc87e6c8e6a2d",
+    ("AE", "white-noise", 70): "85dc7019dfe5dca6de2122acb9ef7125b8830dc8bc9cb0c56fd3ab253c2a51f8",
+    ("AE", "white-noise", 160): "ad2fa0ae86ce419d3393f238ea16a582035e554beb3fd64910c9c1393c313f9c",
+    ("AE", "white-noise", 250): "6ca37181535f63453fb6827d5c238b280ffb3a5bc97aaa85b33b567aeaba2d68",
+    ("AE", "tone-complex", 0): "aed365f864013b07dc95676c6486f2c556d719be51bbca9a9d10a4cd44313265",
+    ("AE", "tone-complex", 70): "567774e836fdb14ed4f7588d23bdd90110ea0be0ec045366277854e012392aa0",
+    ("AE", "tone-complex", 160): "29c2c032ff0724a4b8254ef73ca6579de509594c665149a0d91c97c7488afdcf",
+    ("AE", "tone-complex", 250): "0340f7970cd3f43c06edeae5a6b6bfd816239de475d257326238836e5fe0e3f8",
+    ("AE", "am-noise", 0): "1a7b0a61fbd04df7e8052b8a2b1347299cda2d5552e8aedc089d4fae02a748db",
+    ("AE", "am-noise", 70): "fbd63a66207088769832389518bd26c4dd84d9b82920bd565a6cf235eb9d0799",
+    ("AE", "am-noise", 160): "2dde400842918b432c36279aadb7a0d1037e935222d4935b24dc6983ca8f6ec7",
+    ("AE", "am-noise", 250): "a6821698eac382e7ff5d6ed933ad5b0927b4ce21dfa39be494b654e933c400b6",
+    ("AE", "chirp", 0): "663165b5134003e35288cf8daa842ca0b2d39ad698ef0b97c1bd7e6fc54b91ac",
+    ("AE", "chirp", 70): "54dfd77d66c08d8f4d62072e83313857eb6ab7c7ba21e7173c8b62ed348abe53",
+    ("AE", "chirp", 160): "34713e53dbc5508d55e30e1bbbc63aa300b528cd36e4340f0af3b47d7853d7f3",
+    ("AE", "chirp", 250): "58eea53cdff0a44cd4235fae2320cfed269fea3b518f21a2e3df3f787fb41f1c",
+    ("RV", "white-noise", 0): "fdc1518de2d45a03f3002100faee472808df7cc252146d557e9d21c540d0e4af",
+    ("RV", "white-noise", 70): "e69953ca2b78fb410675c99b1d682df1320e9d3ca1b8f0a46e32672526ebd395",
+    ("RV", "white-noise", 160): "6e304bde88458913e30781cd5edc26b0ad1698124681617e0825abf8f8281995",
+    ("RV", "white-noise", 250): "b2f67586e68d64ebc20e27dbe02be908722c00086c01c2318bf0fceff5e95451",
+    ("RV", "tone-complex", 0): "4f623eb504b8385dbdd1e788dbf6bb5e7efb89894719648a44ad773cd15b8dfa",
+    ("RV", "tone-complex", 70): "313976d1f0522810bb487d5db4a1d21648c0bdd8d2f1e08f8b745f66c9cb7c28",
+    ("RV", "tone-complex", 160): "667c789f0412d767b47f6fc2e2199f6f447704f1c3a4a6b9b6c7149785a6ec25",
+    ("RV", "tone-complex", 250): "25c12071acd9454d8066054f77a0577d0aab4071b67d930791a51e666b3bb846",
+    ("RV", "am-noise", 0): "599c38c48e1f9087721cc7550d887e319378da64c8b38cdb893bb872b94b3077",
+    ("RV", "am-noise", 70): "fc73ab6a9f74a9401c17e800fc91e980c2f9ed672e129dca2644cb54f3e9ec68",
+    ("RV", "am-noise", 160): "61e7ea60431f5f7930e653fe4576598547bf9493eccf626f7efd2716d6ee6e86",
+    ("RV", "am-noise", 250): "57308d7490fc8a23387133c7ca3ba80e07c7ea0527b3a8195ed4041323c677f2",
+    ("RV", "chirp", 0): "4b7d7b0a459dad7357bc63533a2c6e465bde0d7968c4e57b9a6e17f78d40be76",
+    ("RV", "chirp", 70): "2e6f2bbdce17ed880abfd68a271d4f3f42347d7a261edd1b5aa6e63b7fd36e33",
+    ("RV", "chirp", 160): "b4b3ecc2be756c862584792afd15022181c1e250e1cd13a90e2b4af9cd763e1d",
+    ("RV", "chirp", 250): "5163a9b5410724eae32376905a95a4c72aacfcb56ca4e5a128fffa83b4ff4cfa",
+}
+
+
+class TestRenderBits:
+    @pytest.mark.parametrize("env,kind,azimuth", sorted(_RENDER_SHA256))
+    def test_render_matches_golden_digest(self, env, kind, azimuth):
+        src = S.make_source(kind, seed=20 + S.SOURCE_KINDS.index(kind))
+        scene = AE if env == "AE" else RV
+        w = S.render_binaural(src, S.LocalizationTarget(azimuth, env), scene)
+        digest = hashlib.sha256(w.samples.tobytes()).hexdigest()
+        assert digest == _RENDER_SHA256[(env, kind, azimuth)]
+
+    @staticmethod
+    def _assert_filtfilt_equal(y, beta):
+        np.testing.assert_array_equal(
+            S._zero_phase_pole(y, beta),
+            scipy.signal.filtfilt([1.0 - beta], [1.0, -beta], y))
+
+    @pytest.mark.parametrize("beta", [1e-6, 0.1, 0.35, 0.5])
+    def test_zero_phase_pole_is_filtfilt(self, beta):
+        rng = np.random.default_rng(31)
+        rendered = S.render_binaural(S.make_source("chirp", seed=4),
+                                     S.LocalizationTarget(130, "RV"), RV)
+        for y in (*rendered.samples, rng.standard_normal(8000),
+                  rng.uniform(-1e3, 1e3, 7)):
+            self._assert_filtfilt_equal(y, beta)
+
+    def test_zero_phase_pole_random_sweep(self):
+        # a last-bit change in the initial state reaches the output for only
+        # about 1 in 3000 draws, hence the many short signals
+        rng = np.random.default_rng(32)
+        for _ in range(6000):
+            y = rng.standard_normal(int(rng.integers(7, 64))) * rng.uniform(1e-3, 1e3)
+            self._assert_filtfilt_equal(y, float(rng.uniform(0.0, 0.5)))
+
+    def test_too_short_source_rejected(self):
+        with pytest.raises(S.SpatialError, match="samples"):
+            S.render_binaural(Waveform(np.ones(6), 16000),
+                              S.LocalizationTarget(0, "AE"), AE)
 
 
 class TestLocalizationTarget:
