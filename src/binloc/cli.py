@@ -12,6 +12,7 @@ from pathlib import Path
 from .config import PROFILES, ExperimentConfig
 from .data import load_samples
 from .metrics import (
+    StatsError,
     evaluate,
     hemifield_report,
     per_azimuth,
@@ -221,7 +222,7 @@ def _cmd_eval(args) -> int:
     write_per_azimuth(out, per_azimuth(records))
     try:
         write_hemifield(out, hemifield_report(records, label=label))
-    except Exception as exc:
+    except StatsError as exc:  # too few mirror pairs in this split
         print(f"hemifield statistics skipped: {exc}")
     print(f"{label}: AD {agg['ad_deg']:.2f} deg, MSE {agg['mse']:.4f} "
           f"({len(records)} samples) -> {out}")

@@ -31,16 +31,17 @@ class Sample:
 def load_samples(manifest_path, frontend_cfg: FrontendConfig,
                  splits: tuple[str, ...] | None = None,
                  environments: tuple[str, ...] | None = None,
-                 access_log: list | None = None,
                  cache_path=None) -> list[Sample]:
     """Read WAVs referenced by a manifest and convert them to spectrograms.
 
-    ``splits``/``environments`` filter records before anything is read;
-    ``access_log`` (if given) collects the ids actually touched, which
-    makes environment-filter audits possible. ``cache_path`` points at an
-    optional spectrogram cache that is reused when it was built from this
-    corpus under this frontend config; a cache that is not, or that is cut
-    short, is rebuilt with one line on stderr naming the cause.
+    ``splits``/``environments`` filter records before anything is read, and
+    the samples come back in manifest order, so a caller that needs several
+    splits loads them in one call and separates them by ``Sample.split``.
+    ``cache_path`` points at an optional spectrogram cache that is reused
+    when it was built from this corpus under this frontend config; a cache
+    that is not, that is cut short or that has an older layout is rebuilt
+    with one line on stderr naming the cause. The cache is written at most
+    once per call, and only when a spectrogram had to be computed.
     """
     manifest: DatasetManifest = load_manifest(manifest_path)
     root = Path(manifest_path).parent
@@ -59,8 +60,6 @@ def load_samples(manifest_path, frontend_cfg: FrontendConfig,
     samples = []
     fresh: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for r in records:
-        if access_log is not None:
-            access_log.append(r.sample_id)
         pair = cached.get(r.sample_id)
         if pair is None:
             pair = binaural_spectrogram(read_wav(root / r.path), frontend_cfg)

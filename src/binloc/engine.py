@@ -104,42 +104,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
-
-    # operator sugar; scalars are promoted to constant tensors
-    def __add__(self, other):
-        return add(self, _coerce(other, self))
-
-    def __radd__(self, other):
-        return add(_coerce(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / float(other))
-
-
-def _coerce(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def tensor(data, dtype=None) -> Tensor:

@@ -146,9 +146,10 @@ def binaural_spectrogram(wave: Waveform, cfg: FrontendConfig = CANONICAL
 
 
 # ---------------------------------------------------------------------------
-# spectrogram cache file: manifest + row-major float32 payload
+# spectrogram cache file: the checkpoint layout (``util.write_tensor_file``)
+# with one (2, bins, frames) tensor per sample
 
-_CACHE_MAGIC = b"BLSPEC1\n"
+_CACHE_MAGIC = b"BLSPEC2\n"
 
 
 def save_spectrogram_cache(path, entries: dict[str, tuple[np.ndarray, np.ndarray]],
@@ -159,42 +160,29 @@ def save_spectrogram_cache(path, entries: dict[str, tuple[np.ndarray, np.ndarray
 
     The write is atomic: a failed save leaves the old file intact.
     """
-    manifest = {"config_hash": cfg.hash(), "corpus_hash": corpus_hash, "entries": {}}
-    offset = 0
-    blobs = []
-    for name, (left, right) in entries.items():
-        pair = np.stack([left, right])
-        manifest["entries"][name] = {"shape": list(pair.shape), "offset": offset}
-        blobs.append(pair)
-        offset += pair.size
-    write_tensor_file(path, _CACHE_MAGIC, manifest, blobs)
+    write_tensor_file(path, _CACHE_MAGIC,
+                      {"config_hash": cfg.hash(), "corpus_hash": corpus_hash},
+                      {name: np.stack(pair) for name, pair in entries.items()})
 
 
 def load_spectrogram_cache(path, cfg: FrontendConfig, *, corpus_hash: str | None = None
                            ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Read a cache written by ``save_spectrogram_cache``.
 
-    Raises ``FrontendError`` when the file is not a cache or is cut short,
-    when the stored frontend config hash does not match ``cfg``, and, if
-    ``corpus_hash`` is given, when the cache was built from another corpus.
+    Raises ``FrontendError`` when the file is not a cache in this layout or
+    is cut short, when the stored frontend config hash does not match
+    ``cfg``, and, if ``corpus_hash`` is given, when the cache was built from
+    another corpus.
     """
-    manifest, payload = read_tensor_file(path, _CACHE_MAGIC, "spectrogram cache",
-                                         FrontendError)
-    if manifest["config_hash"] != cfg.hash():
+    header, pairs = read_tensor_file(path, _CACHE_MAGIC, "spectrogram cache",
+                                     FrontendError)
+    if header["config_hash"] != cfg.hash():
         raise FrontendError(
-            f"{path}: cache was generated under config {manifest['config_hash']}, "
+            f"{path}: cache was generated under config {header['config_hash']}, "
             f"current config is {cfg.hash()}")
-    stored_corpus = manifest.get("corpus_hash")
+    stored_corpus = header.get("corpus_hash")
     if corpus_hash is not None and stored_corpus != corpus_hash:
         raise FrontendError(
             f"{path}: cache was built from corpus {stored_corpus}, "
             f"current corpus is {corpus_hash}")
-    out = {}
-    for name, entry in manifest["entries"].items():
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        if entry["offset"] + count > payload.size:
-            raise FrontendError(f"{path}: truncated payload for {name!r}")
-        pair = payload[entry["offset"]:entry["offset"] + count].reshape(shape)
-        out[name] = (pair[0].copy(), pair[1].copy())
-    return out
+    return {name: (pair[0], pair[1]) for name, pair in pairs.items()}

@@ -372,9 +372,6 @@ class BinauralTransformer:
                 seen.setdefault(id(p), p)
         return list(seen.values())
 
-    def named_parameters(self) -> dict[str, E.Tensor]:
-        return {p.name: p for p in self.parameters()}
-
     def count_parameters(self) -> int:
         """Trainable scalar count; the fixed position table is excluded."""
         return sum(p.size for p in self.parameters())

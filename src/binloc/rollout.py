@@ -136,12 +136,6 @@ def _upsample_index(n_h: int, n_t: int, height: int, width: int, patch: int,
     return rows, cols
 
 
-def upsample_grid(grid: np.ndarray, height: int, width: int, patch: int,
-                  stride: int) -> np.ndarray:
-    """Nearest-patch-center upsampling of a relevance grid to pixel size."""
-    return grid[np.ix_(*_upsample_index(*grid.shape, height, width, patch, stride))]
-
-
 def _write_csv(path: Path, cells: np.ndarray) -> None:
     r"""Write a 2-D array of formatted cells as ``csv.writer`` would: comma
     separated, ``\r\n`` line ends (no float's repr needs quoting)."""

@@ -332,11 +332,6 @@ class DatasetManifest:
     records: list[ManifestRecord] = field(default_factory=list)
     config_hash: str = ""
 
-    def split_records(self, split: str, environments: tuple[str, ...] = ("AE", "RV")
-                      ) -> list[ManifestRecord]:
-        return [r for r in self.records
-                if r.split == split and r.environment in environments]
-
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
     with open(path, "w", encoding="utf-8") as fh:

@@ -55,11 +55,12 @@ def _epoch_rng(seed: int, stream: int, epoch: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(stream, epoch)))
 
 
-def train(cfg: ExperimentConfig, manifest_path, out_dir,
-          train_samples: list[Sample] | None = None,
-          val_samples: list[Sample] | None = None,
-          access_log: list | None = None) -> TrainResult:
+def train(cfg: ExperimentConfig, manifest_path, out_dir) -> TrainResult:
     """Adam training with per-epoch validation and best/final checkpoints.
+
+    The train and val splits of the manifest, under ``cfg.environments``,
+    are read in one ``load_samples`` call; with ``cfg.use_cache`` their
+    spectrograms go through ``out_dir/spectrograms.cache``.
 
     ``cfg.lr`` is the first epoch's rate; each epoch ``e`` runs at
     ``cosine_lr(cfg.lr, e, cfg.epochs)``, annealed towards zero by the
@@ -77,16 +78,10 @@ def train(cfg: ExperimentConfig, manifest_path, out_dir,
     cfg.save(out_dir / "config.kv")
 
     cache = out_dir / "spectrograms.cache" if cfg.use_cache else None
-    if train_samples is None:
-        train_samples = load_samples(manifest_path, cfg.frontend,
-                                     splits=("train",),
-                                     environments=cfg.environments,
-                                     access_log=access_log, cache_path=cache)
-    if val_samples is None:
-        val_samples = load_samples(manifest_path, cfg.frontend,
-                                   splits=("val",),
-                                   environments=cfg.environments,
-                                   access_log=access_log, cache_path=cache)
+    samples = load_samples(manifest_path, cfg.frontend, splits=("train", "val"),
+                           environments=cfg.environments, cache_path=cache)
+    train_samples = [s for s in samples if s.split == "train"]
+    val_samples = [s for s in samples if s.split == "val"]
     if not train_samples or not val_samples:
         raise ValueError(
             f"empty train ({len(train_samples)}) or val ({len(val_samples)}) "
@@ -183,6 +178,15 @@ def load_run(run_dir, use_final: bool = False
     return cfg, model
 
 
+def _held_out(manifest_path, frontend, environments=None) -> list[Sample]:
+    """The test split when the corpus has one under ``environments``, else
+    the validation split."""
+    return (load_samples(manifest_path, frontend, splits=("test",),
+                         environments=environments)
+            or load_samples(manifest_path, frontend, splits=("val",),
+                            environments=environments))
+
+
 # ---------------------------------------------------------------------------
 # experiment grid (losses x integrations x sharing modes)
 
@@ -192,23 +196,18 @@ def run_grid(base: ExperimentConfig, manifest_path, out_dir,
              sharings=GRID_SHARINGS) -> list[dict]:
     """Train/evaluate one cell per combination and emit a results table.
 
-    Cells are evaluated on the test split when the corpus has one, else on
-    the validation split. MSE columns of AD-trained cells are dashes. A
-    failing cell is recorded and the grid moves on. Hemifield statistics
-    are FDR-corrected across the whole grid (loss x integration x metric
-    per sharing mode).
+    Every cell is evaluated on one held-out list, read once: the test split
+    when the corpus has one, else the validation split. MSE columns of
+    AD-trained cells are dashes. A failing cell is recorded and the grid
+    moves on. Hemifield statistics are FDR-corrected across the whole grid
+    (loss x integration x metric per sharing mode).
     """
     if not losses or not integrations or not sharings:
         raise ValueError("grid axes must be non-empty")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    eval_split = "test"
-    probe = load_samples(manifest_path, base.frontend, splits=("test",),
-                         environments=base.environments)
-    if not probe:
-        eval_split = "val"
-
+    held_out = _held_out(manifest_path, base.frontend, base.environments)
     cells = []
     comparisons = []
     for shared in sharings:
@@ -223,10 +222,7 @@ def run_grid(base: ExperimentConfig, manifest_path, out_dir,
                 cell_dir = out_dir / f"{_mode_name(shared)}_{loss_kind}_{integration}"
                 try:
                     result = train(cfg, manifest_path, cell_dir)
-                    samples = load_samples(manifest_path, cfg.frontend,
-                                           splits=(eval_split,),
-                                           environments=cfg.environments)
-                    records, agg = evaluate(result.model, samples)
+                    records, agg = evaluate(result.model, held_out)
                     try:
                         comparisons.extend(hemifield_test(records, label=label))
                     except StatsError:
@@ -289,13 +285,11 @@ def _write_grid_csv(path, cells, losses, integrations, sharings) -> None:
 
 def run_env_transfer(base: ExperimentConfig, manifest_path, out_dir
                      ) -> list[dict]:
-    """Three trainings (AE, RV, AE+RV) evaluated on AE and RV test splits."""
+    """Three trainings (AE, RV, AE+RV) evaluated on the AE and RV parts of
+    the test split, or of the validation split when the corpus has no test
+    split."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    eval_split = "test"
-    if not load_samples(manifest_path, base.frontend, splits=("test",)):
-        eval_split = "val"
 
     models = {}
     for env_filter in ("AE", "RV", "AE+RV"):
@@ -303,11 +297,9 @@ def run_env_transfer(base: ExperimentConfig, manifest_path, out_dir
         result = train(cfg, manifest_path, out_dir / f"train_{env_filter}")
         models[env_filter] = result.model
 
-    test_splits = {
-        env: load_samples(manifest_path, base.frontend, splits=(eval_split,),
-                          environments=(env,))
-        for env in ("AE", "RV")
-    }
+    held_out = _held_out(manifest_path, base.frontend)
+    test_splits = {env: [s for s in held_out if s.environment == env]
+                   for env in ("AE", "RV")}
     rows = environment_transfer(models, test_splits)
     write_env_transfer(out_dir, rows)
     return rows

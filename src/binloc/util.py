@@ -131,22 +131,32 @@ def read_kv(path) -> dict[str, str]:
 # tensor files: magic, uint32 header length, JSON header, float32 payload
 
 
-def write_tensor_file(path, magic: bytes, header: dict, arrays) -> None:
-    """Write ``magic``, the sorted-key JSON ``header`` and ``arrays`` as
+def write_tensor_file(path, magic: bytes, header: dict,
+                      tensors: dict[str, np.ndarray]) -> None:
+    """Write ``magic``, the sorted-key JSON ``header`` and ``tensors`` as
     little-endian float32.
 
-    The bytes go to a temp file next to ``path`` that then replaces it, so a
-    failed write leaves the previous file as it was.
+    The header gains a ``"tensors"`` table, ``{name: {"shape", "offset",
+    "count"}}`` with offsets counted in floats from the start of the
+    payload. The bytes go to a temp file next to ``path`` that then replaces
+    it, so a failed write leaves the previous file as it was.
     """
     path = Path(path)
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    arrays = {name: np.asarray(arr, dtype=np.float32)
+              for name, arr in tensors.items()}
+    table, offset = {}, 0
+    for name, arr in arrays.items():
+        table[name] = {"shape": list(arr.shape), "offset": offset,
+                       "count": int(arr.size)}
+        offset += arr.size
+    head = json.dumps({**header, "tensors": table}, sort_keys=True).encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(magic)
             fh.write(struct.pack("<I", len(head)))
             fh.write(head)
-            for arr in arrays:
+            for arr in arrays.values():
                 fh.write(arr.astype("<f4", copy=False).tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -155,17 +165,19 @@ def write_tensor_file(path, magic: bytes, header: dict, arrays) -> None:
 
 
 def read_tensor_file(path, magic: bytes, what: str, error: type[Exception]
-                     ) -> tuple[dict, np.ndarray]:
-    """Read a file written by ``write_tensor_file``: (header, float32 payload).
+                     ) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a file written by ``write_tensor_file``: (header, name -> array).
 
-    Raises ``error`` naming ``path`` when the magic is not ``magic`` (the
-    file is not a ``what``) or the header is cut short or unreadable. The
-    caller checks that the payload covers the header's entries.
+    The returned header no longer holds the ``"tensors"`` table. Raises
+    ``error`` naming ``path`` when the magic is not ``magic`` (the file is
+    not a ``what``, or an older layout of one), when the header is cut short
+    or unreadable, or when the payload ends before a tensor does.
     """
     data = Path(path).read_bytes()
     start = len(magic) + 4
     if data[:len(magic)] != magic:
-        raise error(f"{path}: not a {what}")
+        raise error(f"{path}: not a {what} (starts with {data[:len(magic)]!r}, "
+                    f"expected {magic!r})")
     if len(data) < start:
         raise error(f"{path}: truncated header")
     (mlen,) = struct.unpack_from("<I", data, len(magic))
@@ -178,4 +190,10 @@ def read_tensor_file(path, magic: bytes, what: str, error: type[Exception]
     start += mlen
     payload = np.frombuffer(data, dtype="<f4", count=(len(data) - start) // 4,
                             offset=start)
-    return header, payload
+    tensors = {}
+    for name, entry in header.pop("tensors").items():
+        begin, count = entry["offset"], entry["count"]
+        if begin + count > payload.size:
+            raise error(f"{path}: truncated payload for {name!r}")
+        tensors[name] = payload[begin:begin + count].reshape(entry["shape"]).copy()
+    return header, tensors

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from binloc.rollout import _upsample_index
+
 
 def central_diff(f, arrays, h=1e-3):
     """Central finite differences of scalar ``f()`` w.r.t. each array.
@@ -26,6 +28,12 @@ def central_diff(f, arrays, h=1e-3):
             gflat[i] = (f_plus - f_minus) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def upsample_grid(grid, height, width, patch, stride):
+    """A relevance grid upsampled to pixel size the way ``export_heatmap``
+    upsamples its overlay CSVs: each pixel takes its nearest patch center."""
+    return grid[np.ix_(*_upsample_index(*grid.shape, height, width, patch, stride))]
 
 
 def max_rel_err(a, b, floor=1e-6):

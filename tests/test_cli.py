@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from binloc import cli
 from binloc.cli import main
 from binloc.config import ExperimentConfig
 from binloc.spatial import load_manifest
@@ -166,6 +167,36 @@ class TestPipeline:
         assert (out / "per_azimuth.csv").exists()
         payload = json.loads((out / "overall.json").read_text())
         assert "ad_deg" in payload and "mse" in payload
+
+    def test_eval_skips_hemifield_with_too_few_mirror_pairs(self, cli_workspace,
+                                                            tmp_path, capsys):
+        data, run = cli_workspace  # azimuths 90 and 270: one mirror pair
+        out = tmp_path / "eval"
+        assert main(["eval", "--run", str(run),
+                     "--manifest", str(data / "manifest.jsonl"),
+                     "--split", "val", "--out", str(out)]) == 0
+        assert "hemifield statistics skipped" in capsys.readouterr().out
+        assert not list(out.glob("hemifield.*"))
+
+    def test_eval_hemifield_write_failure_is_runtime_failure(
+            self, cli_workspace, tmp_path, monkeypatch, capsys):
+        _, run = cli_workspace
+        data = tmp_path / "data"  # three mirror pairs: 10/350, 20/340, 30/330
+        assert main(["gen-data", "--out", str(data), "--seed", "4",
+                     "--azimuths", "10,20,30,330,340,350", "--sources", "2",
+                     "--envs", "AE", "--ratio", "0.5"]) == 0
+        args = ["eval", "--run", str(run), "--manifest",
+                str(data / "manifest.jsonl"), "--split", "val"]
+        assert main([*args, "--out", str(tmp_path / "ok")]) == 0
+        assert list((tmp_path / "ok").glob("hemifield.*"))
+
+        def disk_full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_hemifield", disk_full)
+        capsys.readouterr()
+        assert main([*args, "--out", str(tmp_path / "full")]) == 2
+        assert "No space left on device" in capsys.readouterr().err
 
     def test_rollout_exports_sample(self, cli_workspace, tmp_path):
         data, run = cli_workspace

@@ -1,12 +1,15 @@
 """Corpus loading through the spectrogram cache: reuse, staleness, damage."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from binloc.cli import main
 from binloc.data import load_samples
 from binloc.frontend import CANONICAL, binaural_spectrogram
-from binloc.spatial import read_wav
+from binloc.spatial import load_manifest, read_wav
 
 
 def _gen_data(out, seed):
@@ -65,6 +68,36 @@ def test_damaged_cache_is_rebuilt_with_a_message(manifest, tmp_path, capsys,
     assert str(cache) in err[0] and cause in err[0]
     _assert_fresh(manifest, samples)
     assert cache.read_bytes() == intact
+
+
+def _write_first_layout(path, samples, corpus_hash):
+    """A cache in the first layout: magic ``BLSPEC1``, then an ``entries``
+    table of shapes and offsets without counts."""
+    entries, blobs, offset = {}, [], 0
+    for s in samples:
+        pair = np.stack([s.x_left, s.x_right]).astype("<f4")
+        entries[s.sample_id] = {"shape": list(pair.shape), "offset": offset}
+        blobs.append(pair.tobytes())
+        offset += pair.size
+    head = json.dumps({"config_hash": CANONICAL.hash(), "corpus_hash": corpus_hash,
+                       "entries": entries}, sort_keys=True).encode("utf-8")
+    path.write_bytes(b"BLSPEC1\n" + struct.pack("<I", len(head)) + head
+                     + b"".join(blobs))
+
+
+def test_first_layout_cache_is_rebuilt_once(manifest, tmp_path, capsys):
+    cache = tmp_path / "spectrograms.cache"
+    _write_first_layout(cache, load_samples(manifest, CANONICAL),
+                        load_manifest(manifest).config_hash)
+    capsys.readouterr()
+    samples = load_samples(manifest, CANONICAL, cache_path=cache)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert str(cache) in err[0] and "BLSPEC1" in err[0]
+    _assert_fresh(manifest, samples)
+    assert cache.read_bytes().startswith(b"BLSPEC2\n")
+    load_samples(manifest, CANONICAL, cache_path=cache)
+    assert capsys.readouterr().err == ""
 
 
 def test_other_cache_errors_propagate(manifest, tmp_path):

@@ -1,7 +1,9 @@
 """Architecture contracts: patch geometry, encoders, integration, budgets."""
 
 import dataclasses
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -320,8 +322,8 @@ class TestCheckpointing:
 
         monkeypatch.setattr(model_module, "_trunc_normal", no_random_init)
         restored = BinauralTransformer.load(path, model.config)
-        saved = model.named_parameters()
-        loaded = restored.named_parameters()
+        saved = {p.name: p for p in model.parameters()}
+        loaded = {p.name: p for p in restored.parameters()}
         assert list(loaded) == list(saved)
         for name, p in saved.items():
             assert np.array_equal(loaded[name].data, p.data), name
@@ -350,6 +352,24 @@ class TestCheckpointing:
         assert stored == "old"
         np.testing.assert_array_equal(arrays["w"], np.ones(3))
         assert os.listdir(tmp_path) == ["best.ckpt"]
+
+    def test_checkpoint_layout_is_pinned(self, tmp_path):
+        # checkpoints written before the shared tensor-file codec still load
+        head = json.dumps({"config_hash": "h", "tensors": {
+            "w": {"count": 3, "offset": 0, "shape": [3]},
+            "v": {"count": 4, "offset": 3, "shape": [2, 2]}}},
+            sort_keys=True).encode("utf-8")
+        w = np.arange(3, dtype="<f4")
+        v = np.arange(4, dtype="<f4").reshape(2, 2) / 7
+        golden = (b"BLTENS1\n" + struct.pack("<I", len(head)) + head
+                  + w.tobytes() + v.tobytes())
+        path = tmp_path / "model.ckpt"
+        save_tensors(path, {"w": w, "v": v.astype(np.float64)}, config_hash="h")
+        assert path.read_bytes() == golden
+        arrays, stored = load_tensors(path, expected_config_hash="h")
+        assert stored == "h" and list(arrays) == ["v", "w"]
+        np.testing.assert_array_equal(arrays["v"], v)
+        np.testing.assert_array_equal(arrays["w"], w)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "best.ckpt"

@@ -17,8 +17,9 @@ from binloc.rollout import (
     layer_rollout,
     relevance_grid,
     rollout_chain,
-    upsample_grid,
 )
+
+from helpers import upsample_grid
 
 TINY = ModelConfig(height=20, width=16, patch=8, stride=6, dim=32, layers=3,
                    heads=2, mlp_dim=32, dropout=0.0, integration="sub")

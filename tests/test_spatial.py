@@ -240,8 +240,8 @@ class TestBuildDataset:
         scenes = {"AE": AE, "RV": RV}
         manifest = S.build_dataset(self._sources(4), azimuths, scenes,
                                    ratio=0.75, seed=0, out_dir=tmp_path)
-        train = manifest.split_records("train")
-        val = manifest.split_records("val")
+        train = [r for r in manifest.records if r.split == "train"]
+        val = [r for r in manifest.records if r.split == "val"]
         assert len(train) == 216
         assert len(val) == 72
         for env in ("AE", "RV"):
@@ -276,7 +276,7 @@ class TestBuildDataset:
     def test_test_sources_disjoint(self, tmp_path):
         manifest = S.build_dataset(self._sources(2), (0, 90), {"AE": AE}, 0.5, 1,
                                    tmp_path, test_sources=self._sources(1, offset=10))
-        test = manifest.split_records("test")
+        test = [r for r in manifest.records if r.split == "test"]
         assert len(test) == 2
         pool = {r.source_id for r in manifest.records if r.split != "test"}
         held_out = {r.source_id for r in test}

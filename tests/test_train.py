@@ -1,10 +1,13 @@
 """Trainer: logging, determinism, divergence handling, grid, transfer."""
 
 import json
+from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from binloc import data as data_module
 from binloc.config import ExperimentConfig, desk_profile, full_profile
 from binloc.data import load_samples
 from binloc.metrics import evaluate
@@ -18,6 +21,37 @@ from binloc.train import (
 )
 
 from conftest import micro_config
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Arguments of every call that ``load_samples`` makes to the WAV reader,
+    the frontend and the cache codec; the calls still go through."""
+    calls = defaultdict(list)
+
+    def wrap(name):
+        real = getattr(data_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(data_module, name, wrapper)
+
+    for name in ("read_wav", "binaural_spectrogram", "save_spectrogram_cache",
+                 "load_spectrogram_cache"):
+        wrap(name)
+    return calls
+
+
+def _reads(calls) -> Counter:
+    """WAV file name -> times read; every read is also one spectrogram."""
+    assert len(calls["binaural_spectrogram"]) == len(calls["read_wav"])
+    return Counter(args[0].name for args in calls["read_wav"])
+
+
+def _held_out_names(corpus) -> list[str]:
+    _, manifest = corpus
+    return [Path(r.path).name for r in manifest.records if r.split == "test"]
 
 
 class TestTrain:
@@ -99,13 +133,34 @@ class TestTrain:
         assert same_weights(load_run(tmp_path / "run")[1])
 
     def test_env_filter_never_touches_other_environment(self, micro_corpus,
-                                                        tmp_path):
+                                                        tmp_path, spy):
         manifest, _ = micro_corpus
-        access_log = []
         cfg = micro_config(epochs=1, env_filter="AE")
-        train(cfg, manifest, tmp_path / "run", access_log=access_log)
-        assert access_log
-        assert all(sid.endswith("_AE") for sid in access_log)
+        train(cfg, manifest, tmp_path / "run")
+        names = _reads(spy)
+        assert names
+        assert all(name.endswith("_AE.wav") for name in names)
+
+    def test_cold_train_saves_the_cache_once_and_never_reads_it(
+            self, micro_corpus, tmp_path, spy):
+        manifest, corpus = micro_corpus
+        cfg = micro_config(epochs=1, use_cache=True)
+        cold = train(cfg, manifest, tmp_path / "run")
+        pool = [r for r in corpus.records if r.split in ("train", "val")]
+        assert sorted(_reads(spy).values()) == [1] * len(pool)
+        assert len(spy["save_spectrogram_cache"]) == 1
+        assert spy["load_spectrogram_cache"] == []
+
+        spy.clear()  # a warm rerun reads the cache once and computes nothing
+        warm = train(cfg, manifest, tmp_path / "run")
+        assert spy["read_wav"] == [] and spy["binaural_spectrogram"] == []
+        assert len(spy["load_spectrogram_cache"]) == 1
+        assert spy["save_spectrogram_cache"] == []
+
+        uncached = train(micro_config(epochs=1), manifest, tmp_path / "plain")
+        for result in (warm, uncached):
+            assert result.final_checkpoint.read_bytes() == \
+                cold.final_checkpoint.read_bytes()
 
     def test_early_stop(self, micro_corpus, tmp_path):
         manifest, _ = micro_corpus
@@ -158,6 +213,18 @@ class TestGrid:
                          sharings=(False,))
         assert len(cells) == 1
 
+    def test_held_out_split_computed_once_for_all_cells(self, micro_corpus,
+                                                        tmp_path, spy):
+        manifest, _ = micro_corpus
+        cells = run_grid(micro_config(epochs=1), manifest, tmp_path / "grid",
+                         losses=("mse",), integrations=("add", "sub"),
+                         sharings=(False,))
+        assert all(not c["error"] for c in cells)
+        reads = _reads(spy)
+        held_out = _held_out_names(micro_corpus)
+        assert held_out
+        assert [reads[name] for name in held_out] == [1] * len(held_out)
+
     def test_empty_axes_rejected(self, micro_corpus, tmp_path):
         manifest, _ = micro_corpus
         with pytest.raises(ValueError, match="non-empty"):
@@ -184,6 +251,14 @@ class TestEnvTransfer:
         csv_lines = (tmp_path / "transfer" / "env_transfer.csv").read_text() \
             .splitlines()
         assert len(csv_lines) == 7
+
+    def test_held_out_split_computed_once(self, micro_corpus, tmp_path, spy):
+        manifest, _ = micro_corpus
+        run_env_transfer(micro_config(epochs=1), manifest, tmp_path / "transfer")
+        reads = _reads(spy)
+        held_out = _held_out_names(micro_corpus)
+        assert {name.rsplit("_", 1)[1] for name in held_out} == {"AE.wav", "RV.wav"}
+        assert [reads[name] for name in held_out] == [1] * len(held_out)
 
 
 class TestProfiles:
