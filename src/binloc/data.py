@@ -31,7 +31,9 @@ class Sample:
 def load_samples(manifest_path, frontend_cfg: FrontendConfig,
                  splits: tuple[str, ...] | None = None,
                  environments: tuple[str, ...] | None = None,
-                 cache_path=None) -> list[Sample]:
+                 cache_path=None,
+                 pool: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
+                 ) -> list[Sample]:
     """Read WAVs referenced by a manifest and convert them to spectrograms.
 
     ``splits``/``environments`` filter records before anything is read, and
@@ -41,7 +43,12 @@ def load_samples(manifest_path, frontend_cfg: FrontendConfig,
     when it was built from this corpus under this frontend config; a cache
     that is not, that is cut short or that has an older layout is rebuilt
     with one line on stderr naming the cause. The cache is written at most
-    once per call, and only when a spectrogram had to be computed.
+    once per call, and only when a pair was missing from it.
+
+    ``pool`` maps sample id to spectrogram pair for a caller that loads the
+    same corpus under the same frontend config several times: a pair comes
+    from the cache file first, then from the pool, and is computed only
+    when neither has it; every pair used goes into the pool.
     """
     manifest: DatasetManifest = load_manifest(manifest_path)
     root = Path(manifest_path).parent
@@ -57,13 +64,17 @@ def load_samples(manifest_path, frontend_cfg: FrontendConfig,
         except FrontendError as exc:
             sys.stderr.write(f"rebuilding spectrogram cache: {exc}\n")
 
+    pool = {} if pool is None else pool
     samples = []
     fresh: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for r in records:
         pair = cached.get(r.sample_id)
         if pair is None:
-            pair = binaural_spectrogram(read_wav(root / r.path), frontend_cfg)
+            pair = pool.get(r.sample_id)
+            if pair is None:
+                pair = binaural_spectrogram(read_wav(root / r.path), frontend_cfg)
             fresh[r.sample_id] = pair
+        pool[r.sample_id] = pair
         samples.append(Sample(r.sample_id, r.azimuth, r.environment, r.split,
                               pair[0], pair[1],
                               azimuth_to_xy(r.azimuth).astype(np.float32)))

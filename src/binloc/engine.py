@@ -279,6 +279,13 @@ def gelu(a: Tensor) -> Tensor:
 # normalization and regularization
 
 
+def _into(ufunc, x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``ufunc(x, y)`` written into ``buf``, a spent temporary of the
+    result's shape, when it also has the result's dtype; mixed-precision
+    operands get a fresh array, as without ``out``."""
+    return ufunc(x, y, out=buf if buf.dtype == np.result_type(x, y) else None)
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, axis: int = -1,
                eps: float = 1e-5) -> Tensor:
     """Normalize along ``axis`` to zero mean / unit variance, then affine."""
@@ -287,24 +294,31 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, axis: int = -1,
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({n},), got "
             f"{gain.data.shape} and {bias.data.shape}")
-    # moments accumulate in 64-bit; centering/scaling stay in storage precision
+    # moments accumulate in 64-bit; centering/scaling stay in storage precision.
+    # Temporaries are reused: the squares become xhat, centered the output.
     mean = a.data.mean(axis=axis, keepdims=True, dtype=np.float64)
     centered = a.data - mean.astype(a.data.dtype)
-    var = np.square(centered).mean(axis=axis, keepdims=True, dtype=np.float64)
+    squares = np.square(centered)
+    var = squares.mean(axis=axis, keepdims=True, dtype=np.float64)
     inv = (1.0 / np.sqrt(var + eps)).astype(a.data.dtype)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    xhat = np.multiply(centered, inv, out=squares)
+    out = _into(np.multiply, xhat, gain.data, centered)
+    out = _into(np.add, out, bias.data, out)
 
     def backward(g):
         red = tuple(i for i in range(g.ndim) if i != axis % g.ndim)
-        ggain = (g * xhat).sum(axis=red) if gain.requires_grad else None
+        scratch = g * xhat
+        ggain = scratch.sum(axis=red) if gain.requires_grad else None
         gbias = g.sum(axis=red) if bias.requires_grad else None
         ga = None
         if a.requires_grad:
+            # ga = inv * (gx - m1 - xhat * m2), built up in gx
             gx = g * gain.data
             m1 = gx.mean(axis=axis, keepdims=True)
-            m2 = (gx * xhat).mean(axis=axis, keepdims=True)
-            ga = inv * (gx - m1 - xhat * m2)
+            m2 = _into(np.multiply, gx, xhat, scratch).mean(axis=axis, keepdims=True)
+            gx = _into(np.subtract, gx, m1, gx)
+            gx = _into(np.subtract, gx, _into(np.multiply, xhat, m2, scratch), gx)
+            ga = _into(np.multiply, inv, gx, gx)
         return ga, ggain, gbias
 
     return _record_op((a, gain, bias), out, backward)

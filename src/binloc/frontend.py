@@ -9,6 +9,7 @@ standardization prepare the pair for training.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,18 @@ def tukey_window(length: int, shape: float) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=16)
+def _stft_plan(window_length: int, hop: int, tukey_shape: float, n_frames: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Tukey window and (n_frames, window_length) frame index of
+    one STFT geometry, built once and shared by every channel."""
+    window = tukey_window(window_length, tukey_shape)
+    idx = np.arange(window_length)[None, :] + hop * np.arange(n_frames)[:, None]
+    window.flags.writeable = False
+    idx.flags.writeable = False
+    return window, idx
+
+
 def stft_magnitude(channel: np.ndarray, cfg: FrontendConfig = CANONICAL) -> np.ndarray:
     """One-sided FFT magnitude grid, shape (n_bins, n_frames)."""
     x = np.asarray(channel, dtype=np.float64).reshape(-1)
@@ -112,9 +125,8 @@ def stft_magnitude(channel: np.ndarray, cfg: FrontendConfig = CANONICAL) -> np.n
         raise FrontendError(
             f"waveform of {x.size} samples is shorter than one "
             f"{cfg.window_length}-sample window")
-    n_frames = cfg.n_frames(x.size)
-    window = tukey_window(cfg.window_length, cfg.tukey_shape)
-    idx = np.arange(cfg.window_length)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
+    window, idx = _stft_plan(cfg.window_length, cfg.hop, cfg.tukey_shape,
+                             cfg.n_frames(x.size))
     frames = x[idx] * window
     spec = np.abs(np.fft.rfft(frames, n=cfg.nfft, axis=1))
     return spec.T.astype(np.float32)

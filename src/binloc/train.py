@@ -55,12 +55,15 @@ def _epoch_rng(seed: int, stream: int, epoch: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(stream, epoch)))
 
 
-def train(cfg: ExperimentConfig, manifest_path, out_dir) -> TrainResult:
+def train(cfg: ExperimentConfig, manifest_path, out_dir, pool=None
+          ) -> TrainResult:
     """Adam training with per-epoch validation and best/final checkpoints.
 
     The train and val splits of the manifest, under ``cfg.environments``,
     are read in one ``load_samples`` call; with ``cfg.use_cache`` their
-    spectrograms go through ``out_dir/spectrograms.cache``.
+    spectrograms go through ``out_dir/spectrograms.cache``. ``pool`` is
+    ``load_samples``'s in-memory spectrogram pool, shared by the runs of
+    one command.
 
     ``cfg.lr`` is the first epoch's rate; each epoch ``e`` runs at
     ``cosine_lr(cfg.lr, e, cfg.epochs)``, annealed towards zero by the
@@ -79,7 +82,8 @@ def train(cfg: ExperimentConfig, manifest_path, out_dir) -> TrainResult:
 
     cache = out_dir / "spectrograms.cache" if cfg.use_cache else None
     samples = load_samples(manifest_path, cfg.frontend, splits=("train", "val"),
-                           environments=cfg.environments, cache_path=cache)
+                           environments=cfg.environments, cache_path=cache,
+                           pool=pool)
     train_samples = [s for s in samples if s.split == "train"]
     val_samples = [s for s in samples if s.split == "val"]
     if not train_samples or not val_samples:
@@ -178,13 +182,13 @@ def load_run(run_dir, use_final: bool = False
     return cfg, model
 
 
-def _held_out(manifest_path, frontend, environments=None) -> list[Sample]:
+def _held_out(manifest_path, frontend, pool, environments=None) -> list[Sample]:
     """The test split when the corpus has one under ``environments``, else
     the validation split."""
     return (load_samples(manifest_path, frontend, splits=("test",),
-                         environments=environments)
+                         environments=environments, pool=pool)
             or load_samples(manifest_path, frontend, splits=("val",),
-                            environments=environments))
+                            environments=environments, pool=pool))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +201,11 @@ def run_grid(base: ExperimentConfig, manifest_path, out_dir,
     """Train/evaluate one cell per combination and emit a results table.
 
     Every cell is evaluated on one held-out list, read once: the test split
-    when the corpus has one, else the validation split. MSE columns of
-    AD-trained cells are dashes. A failing cell is recorded and the grid
-    moves on. Hemifield statistics are FDR-corrected across the whole grid
+    when the corpus has one, else the validation split. The cells share one
+    in-memory spectrogram pool, so each spectrogram is computed at most
+    once per grid; with ``use_cache`` each cell still writes its own cache.
+    MSE columns of AD-trained cells are dashes. A failing cell is recorded
+    and the grid moves on. Hemifield statistics are FDR-corrected across the whole grid
     (loss x integration x metric per sharing mode).
     """
     if not losses or not integrations or not sharings:
@@ -207,7 +213,8 @@ def run_grid(base: ExperimentConfig, manifest_path, out_dir,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    held_out = _held_out(manifest_path, base.frontend, base.environments)
+    pool = {}
+    held_out = _held_out(manifest_path, base.frontend, pool, base.environments)
     cells = []
     comparisons = []
     for shared in sharings:
@@ -221,7 +228,7 @@ def run_grid(base: ExperimentConfig, manifest_path, out_dir,
                 )
                 cell_dir = out_dir / f"{_mode_name(shared)}_{loss_kind}_{integration}"
                 try:
-                    result = train(cfg, manifest_path, cell_dir)
+                    result = train(cfg, manifest_path, cell_dir, pool)
                     records, agg = evaluate(result.model, held_out)
                     try:
                         comparisons.extend(hemifield_test(records, label=label))
@@ -287,17 +294,22 @@ def run_env_transfer(base: ExperimentConfig, manifest_path, out_dir
                      ) -> list[dict]:
     """Three trainings (AE, RV, AE+RV) evaluated on the AE and RV parts of
     the test split, or of the validation split when the corpus has no test
-    split."""
+    split.
+
+    The trainings share one in-memory spectrogram pool, so each spectrogram
+    is computed at most once per call; with ``use_cache`` each training still
+    writes its own cache."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    pool = {}
     models = {}
     for env_filter in ("AE", "RV", "AE+RV"):
         cfg = base.override(env_filter=env_filter)
-        result = train(cfg, manifest_path, out_dir / f"train_{env_filter}")
+        result = train(cfg, manifest_path, out_dir / f"train_{env_filter}", pool)
         models[env_filter] = result.model
 
-    held_out = _held_out(manifest_path, base.frontend)
+    held_out = _held_out(manifest_path, base.frontend, pool)
     test_splits = {env: [s for s in held_out if s.environment == env]
                    for env in ("AE", "RV")}
     rows = environment_transfer(models, test_splits)

@@ -376,7 +376,36 @@ def _run_fused(op, inputs, out_shape, seed):
     return out.data, [p.grad for p in params], wt
 
 
+def _old_layer_norm(a, gain, bias, g, eps=1e-5):
+    """``layer_norm`` and its backward with a fresh array per step."""
+    mean = a.mean(axis=-1, keepdims=True, dtype=np.float64)
+    centered = a - mean.astype(a.dtype)
+    var = np.square(centered).mean(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + eps)).astype(a.dtype)
+    xhat = centered * inv
+    red = tuple(range(g.ndim - 1))
+    gx = g * gain
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return (xhat * gain + bias,
+            (inv * (gx - m1 - xhat * m2), (g * xhat).sum(axis=red), g.sum(axis=red)))
+
+
 class TestFusedOps:
+    @pytest.mark.parametrize("x_dtype,p_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64)])
+    def test_layer_norm_matches_fresh_temporaries_bitwise(self, x_dtype, p_dtype):
+        rng = np.random.default_rng(26)
+        x = (rng.standard_normal((6, 11, 40)) * 3 + 1).astype(x_dtype)
+        gain = rng.standard_normal(40).astype(p_dtype)
+        bias = rng.standard_normal(40).astype(p_dtype)
+        out, grads, wt = _run_fused(E.layer_norm, (x, gain, bias), x.shape, 27)
+        ref, ref_grads = _old_layer_norm(x, gain, bias, wt.astype(out.dtype))
+        assert out.dtype == ref.dtype and np.array_equal(out, ref)
+        for got, want in zip(grads, ref_grads):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_linear_matches_old_chain_bitwise(self):
         rng = np.random.default_rng(20)
         x = rng.standard_normal((4, 7, 24)).astype(np.float32)

@@ -12,6 +12,7 @@ from binloc.frontend import (
     FrontendConfig,
     FrontendError,
     Waveform,
+    _stft_plan,
     binaural_spectrogram,
     load_spectrogram_cache,
     save_spectrogram_cache,
@@ -96,6 +97,27 @@ class TestStftMagnitude:
         e1 = np.sum(stft_magnitude(x, CANONICAL).astype(np.float64) ** 2)
         e3 = np.sum(stft_magnitude(3 * x, CANONICAL).astype(np.float64) ** 2)
         assert e3 == pytest.approx(9 * e1, rel=1e-5)
+
+    @pytest.mark.parametrize("n", [8000, 3001])
+    @pytest.mark.parametrize("shape", [0.0, 0.25])
+    def test_cached_plan_is_bit_identical_to_a_fresh_one(self, n, shape):
+        cfg = dataclasses.replace(CANONICAL, tukey_shape=shape)
+        rng = np.random.default_rng(n)
+        for _ in range(2):  # the second call reuses the first call's plan
+            x = rng.standard_normal(n)
+            idx = (np.arange(cfg.window_length)[None, :]
+                   + cfg.hop * np.arange(cfg.n_frames(n))[:, None])
+            frames = x[idx] * tukey_window(cfg.window_length, shape)
+            ref = np.abs(np.fft.rfft(frames, n=cfg.nfft, axis=1)).T.astype(np.float32)
+            assert np.array_equal(stft_magnitude(x, cfg), ref)
+
+    def test_cached_plan_is_read_only(self):
+        window, idx = _stft_plan(CANONICAL.window_length, CANONICAL.hop,
+                                 CANONICAL.tukey_shape, CANONICAL.n_frames(8000))
+        with pytest.raises(ValueError, match="read-only"):
+            window[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0, 0] = 1
 
 
 class TestBinauralSpectrogram:

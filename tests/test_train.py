@@ -10,7 +10,9 @@ import pytest
 from binloc import data as data_module
 from binloc.config import ExperimentConfig, desk_profile, full_profile
 from binloc.data import load_samples
+from binloc.frontend import binaural_spectrogram, load_spectrogram_cache
 from binloc.metrics import evaluate
+from binloc.spatial import read_wav
 from binloc.train import (
     MISSING_MSE,
     TrainingDiverged,
@@ -52,6 +54,11 @@ def _reads(calls) -> Counter:
 def _held_out_names(corpus) -> list[str]:
     _, manifest = corpus
     return [Path(r.path).name for r in manifest.records if r.split == "test"]
+
+
+def _each_wav_once(corpus) -> Counter:
+    _, manifest = corpus
+    return Counter(Path(r.path).name for r in manifest.records)
 
 
 class TestTrain:
@@ -220,10 +227,8 @@ class TestGrid:
                          losses=("mse",), integrations=("add", "sub"),
                          sharings=(False,))
         assert all(not c["error"] for c in cells)
-        reads = _reads(spy)
-        held_out = _held_out_names(micro_corpus)
-        assert held_out
-        assert [reads[name] for name in held_out] == [1] * len(held_out)
+        assert _held_out_names(micro_corpus)
+        assert _reads(spy) == _each_wav_once(micro_corpus)
 
     def test_empty_axes_rejected(self, micro_corpus, tmp_path):
         manifest, _ = micro_corpus
@@ -255,10 +260,28 @@ class TestEnvTransfer:
     def test_held_out_split_computed_once(self, micro_corpus, tmp_path, spy):
         manifest, _ = micro_corpus
         run_env_transfer(micro_config(epochs=1), manifest, tmp_path / "transfer")
-        reads = _reads(spy)
         held_out = _held_out_names(micro_corpus)
         assert {name.rsplit("_", 1)[1] for name in held_out} == {"AE.wav", "RV.wav"}
-        assert [reads[name] for name in held_out] == [1] * len(held_out)
+        assert _reads(spy) == _each_wav_once(micro_corpus)
+
+    def test_each_run_caches_exactly_its_own_fresh_pairs(self, micro_corpus,
+                                                         tmp_path):
+        manifest, corpus = micro_corpus
+        cfg = micro_config(epochs=1, use_cache=True)
+        run_env_transfer(cfg, manifest, tmp_path / "transfer")
+        for env_filter in ("AE", "RV", "AE+RV"):
+            envs = env_filter.split("+")
+            records = [r for r in corpus.records
+                       if r.split in ("train", "val") and r.environment in envs]
+            cache = tmp_path / "transfer" / f"train_{env_filter}" / "spectrograms.cache"
+            entries = load_spectrogram_cache(cache, cfg.frontend,
+                                             corpus_hash=corpus.config_hash)
+            assert sorted(entries) == sorted(r.sample_id for r in records)
+            for r in records:
+                fresh = binaural_spectrogram(read_wav(manifest.parent / r.path),
+                                             cfg.frontend)
+                assert all(np.array_equal(got, want)
+                           for got, want in zip(entries[r.sample_id], fresh))
 
 
 class TestProfiles:
