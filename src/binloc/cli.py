@@ -169,6 +169,9 @@ def _cmd_gen_data(args) -> int:
     off_grid = [a for a in azimuths if a not in AZIMUTH_GRID]
     if off_grid:
         raise _usage(f"--azimuths must be multiples of 10 in [0, 350], got {off_grid}")
+    duplicates = sorted({a for a in azimuths if azimuths.count(a) > 1})
+    if duplicates:
+        raise _usage(f"--azimuths lists {duplicates} more than once")
     if args.sources < 1:
         raise _usage(f"--sources must be >= 1, got {args.sources}")
     if args.test_sources < 0:

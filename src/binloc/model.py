@@ -127,10 +127,12 @@ def patch_counts(height: int, width: int, patch: int, stride: int) -> PatchGrid:
 def extract_patches(x: np.ndarray, patch: int, stride: int,
                     grid: PatchGrid) -> np.ndarray:
     """(B, H, T) -> (B, n_patches, patch*patch), row-major within a patch."""
-    padded = np.pad(x, ((0, 0), (0, grid.pad_top), (0, grid.pad_right)))
+    batch, height, width = x.shape
+    # np.pad gives the same array at about twice the cost of zeros + a slice
+    padded = np.zeros((batch, height + grid.pad_top, width + grid.pad_right), x.dtype)
+    padded[:, :height, :width] = x
     windows = np.lib.stride_tricks.sliding_window_view(
         padded, (patch, patch), axis=(1, 2))[:, ::stride, ::stride]
-    batch = x.shape[0]
     return windows.reshape(batch, grid.n_patches, patch * patch).copy()
 
 

@@ -266,38 +266,51 @@ def _render(src: np.ndarray, src_pos: np.ndarray, scene: SceneConfig) -> np.ndar
     return out
 
 
+def _placement(target: LocalizationTarget,
+               scene: SceneConfig) -> tuple[np.ndarray, bool]:
+    """Where ``_render`` puts the source for ``target``, and whether to swap.
+
+    In an anechoic scene, or a room left-right symmetric about the
+    listener, a left-half azimuth t is placed at its right-half twin 360-t
+    and its channels are swapped afterwards, so the pair shares one
+    position, bit for bit. The room check uses the true position.
+    """
+    lis = np.asarray(scene.listener)
+
+    def position(azimuth):
+        xy = azimuth_to_xy(azimuth)
+        return np.array([lis[0] + xy[0], lis[1] + xy[1], lis[2]])
+
+    src_pos = position(target.azimuth)
+    for axis in range(3):
+        if not 0.0 < src_pos[axis] < scene.room[axis]:
+            raise GeometryError(
+                f"source at {tuple(src_pos)} outside room {scene.room} "
+                f"(azimuth {target.azimuth})")
+    symmetric = abs(lis[0] - scene.room[0] / 2.0) < 1e-9
+    mirror = bool(src_pos[0] < lis[0]) and (scene.is_anechoic or symmetric)
+    if mirror:
+        src_pos = position(360 - target.azimuth)
+    return src_pos, mirror
+
+
 def render_binaural(source: Waveform, target: LocalizationTarget,
                     scene: SceneConfig) -> Waveform:
     """Spatialize a mono source to a 2-channel (left, right) waveform.
 
-    Rendering is deterministic. Lateral geometry is normalized to the
-    right half-plane and mirrored back, so azimuth pairs (t, 360-t) give
-    exactly channel-swapped outputs whenever the room is left-right
-    symmetric about the listener.
+    Rendering is deterministic. In an anechoic scene, or a room left-right
+    symmetric about the listener, a left-half azimuth t is rendered at
+    360-t and mirrored back (``_placement``), so the pair (t, 360-t) gives
+    exactly channel-swapped outputs.
     """
     if source.channels != 1:
         raise SpatialError(f"source must be mono, got {source.channels} channels")
     if source.length <= _PAD:
         raise SpatialError(
             f"source must be longer than {_PAD} samples, got {source.length}")
-    lis = np.asarray(scene.listener)
-    xy = azimuth_to_xy(target.azimuth)
-    src_pos = np.array([lis[0] + xy[0], lis[1] + xy[1], lis[2]])
-    for axis in range(3):
-        if not 0.0 < src_pos[axis] < scene.room[axis]:
-            raise GeometryError(
-                f"source at {tuple(src_pos)} outside room {scene.room} "
-                f"(azimuth {target.azimuth})")
-
-    symmetric = abs(lis[0] - scene.room[0] / 2.0) < 1e-9
-    mirror = src_pos[0] < lis[0] and (scene.is_anechoic or symmetric)
-    if mirror:
-        src_pos = src_pos.copy()
-        src_pos[0] = 2.0 * lis[0] - src_pos[0]
+    src_pos, mirror = _placement(target, scene)
     out = _render(source.samples[0], src_pos, scene)
-    if mirror:
-        out = out[::-1]
-    return Waveform(out, source.sample_rate)
+    return Waveform(out[::-1] if mirror else out, source.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +379,20 @@ def build_dataset(sources: dict[str, Waveform], azimuths, scenes: dict[str, Scen
     Each (azimuth, environment) stratum is split independently into
     train/val at ``ratio``; ``test_sources`` are rendered separately and
     tagged test, keeping their ids disjoint from the train/val pool.
+
+    Azimuths that share a placement (t and 360-t, see ``_placement``)
+    are rendered once per source, and the render is written channel-swapped
+    where their mirror flags differ, so every WAV holds the bytes
+    ``write_wav(render_binaural(...))`` gives for its record.
     """
     if not 0.0 < ratio < 1.0:
         raise SpatialError(f"split ratio must be in (0, 1), got {ratio}")
     if not sources:
         raise SpatialError("need at least one source")
+    azimuths = sorted(azimuths)
+    duplicates = sorted({a for a, b in zip(azimuths, azimuths[1:]) if a == b})
+    if duplicates:
+        raise SpatialError(f"duplicate azimuths {duplicates}")
     test_sources = test_sources or {}
     overlap = set(sources) & set(test_sources)
     if overlap:
@@ -379,7 +401,7 @@ def build_dataset(sources: dict[str, Waveform], azimuths, scenes: dict[str, Scen
     out_dir = Path(out_dir)
     gen_hash = config_hash({
         "ratio": ratio, "seed": seed,
-        "azimuths": tuple(sorted(azimuths)),
+        "azimuths": tuple(azimuths),
         "sources": tuple(sorted(sources)),
         "test_sources": tuple(sorted(test_sources)),
         **{f"scene_{env}_{k}": v for env, scene in sorted(scenes.items())
@@ -388,10 +410,14 @@ def build_dataset(sources: dict[str, Waveform], azimuths, scenes: dict[str, Scen
 
     records = []
     pool_ids = sorted(sources)
+    all_sources = {**sources, **test_sources}
     for env_ix, (env, scene) in enumerate(sorted(scenes.items())):
         (out_dir / env).mkdir(parents=True, exist_ok=True)
-        for azimuth in sorted(azimuths):
+        # placement bytes -> [(target, mirror, source id -> record), ...]
+        placements = {}
+        for azimuth in azimuths:
             target = LocalizationTarget(azimuth, env)
+            src_pos, mirror = _placement(target, scene)
             stratum_rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(env_ix, azimuth)))
             order = stratum_rng.permutation(len(pool_ids))
@@ -399,22 +425,26 @@ def build_dataset(sources: dict[str, Waveform], azimuths, scenes: dict[str, Scen
             if len(pool_ids) >= 2:
                 n_train = min(max(n_train, 1), len(pool_ids) - 1)
             train_ids = {pool_ids[i] for i in order[:n_train]}
-            for sid in pool_ids:
-                split = "train" if sid in train_ids else "val"
-                records.append(_render_one(sources[sid], sid, target, scene,
-                                           split, out_dir, env, gen_hash))
-            for sid in sorted(test_sources):
-                records.append(_render_one(test_sources[sid], sid, target, scene,
-                                           "test", out_dir, env, gen_hash))
+            splits = [(sid, "train" if sid in train_ids else "val") for sid in pool_ids]
+            splits += [(sid, "test") for sid in sorted(test_sources)]
+            stratum = {}
+            for sid, split in splits:
+                sample_id = f"{sid}_az{azimuth:03d}_{env}"
+                stratum[sid] = ManifestRecord(sample_id, sid, azimuth, env, split,
+                                              f"{env}/{sample_id}.wav")
+                records.append(stratum[sid])
+            placements.setdefault(src_pos.tobytes(), []).append(
+                (target, mirror, stratum))
+        # one render per placement and source, written for every azimuth
+        # placed there before the next is made
+        for uses in placements.values():
+            rendered_target, rendered_mirror, _ = uses[0]
+            for sid, source in all_sources.items():
+                samples = render_binaural(source, rendered_target, scene).samples
+                for _, mirror, stratum in uses:
+                    channels = samples if mirror == rendered_mirror else samples[::-1]
+                    write_wav(out_dir / stratum[sid].path,
+                              Waveform(channels, source.sample_rate))
     manifest = DatasetManifest(records, gen_hash)
     save_manifest(out_dir / "manifest.jsonl", manifest)
     return manifest
-
-
-def _render_one(source: Waveform, source_id: str, target: LocalizationTarget,
-                scene: SceneConfig, split: str, out_dir: Path, env: str,
-                gen_hash: str) -> ManifestRecord:
-    sample_id = f"{source_id}_az{target.azimuth:03d}_{env}"
-    rel_path = f"{env}/{sample_id}.wav"
-    write_wav(out_dir / rel_path, render_binaural(source, target, scene))
-    return ManifestRecord(sample_id, source_id, target.azimuth, env, split, rel_path)

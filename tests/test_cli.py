@@ -59,6 +59,12 @@ class TestExitCodes:
         assert args[0] in capsys.readouterr().err
         assert not out.exists()  # rejected before rendering
 
+    def test_duplicate_azimuths_are_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert main(["gen-data", "--out", str(out), "--azimuths", "0,90,90"]) == 1
+        assert "--azimuths lists [90] more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["eval"],
                                          ["rollout", "--sample-id", "x"]])
     def test_bad_run_config_is_runtime_failure(self, command, tmp_path, capsys):

@@ -95,6 +95,20 @@ class TestExtractPatches:
         np.testing.assert_array_equal(last[:, -1], 0)
         np.testing.assert_array_equal(last[-1, :], 0)
 
+    @pytest.mark.parametrize("height,width,patch,stride",
+                             [(5, 5, 4, 2), (129, 61, 16, 6), (20, 16, 8, 6)])
+    def test_matches_np_pad(self, height, width, patch, stride):
+        grid = patch_counts(height, width, patch, stride)
+        assert grid.pad_top + grid.pad_right > 0
+        x = np.random.default_rng(3).standard_normal((2, height, width)).astype(np.float32)
+        padded = np.pad(x, ((0, 0), (0, grid.pad_top), (0, grid.pad_right)))
+        expected = np.lib.stride_tricks.sliding_window_view(
+            padded, (patch, patch), axis=(1, 2))[:, ::stride, ::stride]
+        out = extract_patches(x, patch, stride, grid)
+        assert out.dtype == x.dtype
+        np.testing.assert_array_equal(
+            out, expected.reshape(2, grid.n_patches, patch * patch))
+
 
 class TestPositionTable:
     def test_shape_and_determinism(self):

@@ -1,7 +1,9 @@
 """Synthetic corpus: sources, interaural cues, room reverb, dataset splits."""
 
 import hashlib
+import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -72,7 +74,7 @@ class TestRenderBinaural:
     def test_mirrored_azimuth_swaps_channels_exactly(self):
         src = S.make_source("am-noise", seed=9)
         for scene, env in ((AE, "AE"), (RV, "RV")):
-            for azimuth in (30, 90, 140):
+            for azimuth in range(10, 180, 10):
                 a = S.render_binaural(src, S.LocalizationTarget(azimuth, env), scene)
                 b = S.render_binaural(
                     src, S.LocalizationTarget(360 - azimuth, env), scene)
@@ -115,6 +117,21 @@ class TestRenderBinaural:
         a = S.render_binaural(src, S.LocalizationTarget(50, "RV"), RV)
         b = S.render_binaural(src, S.LocalizationTarget(50, "RV"), RV)
         np.testing.assert_array_equal(a.samples, b.samples)
+
+    def test_mirrored_pair_shares_one_placement(self):
+        for scene, env in ((AE, "AE"), (RV, "RV")):
+            for azimuth in range(10, 180, 10):
+                pos, mirror = S._placement(S.LocalizationTarget(azimuth, env), scene)
+                twin, twin_mirror = S._placement(
+                    S.LocalizationTarget(360 - azimuth, env), scene)
+                assert pos.tobytes() == twin.tobytes()
+                assert (mirror, twin_mirror) == (False, True)
+
+    def test_asymmetric_room_places_true_position(self):
+        offset = S.SceneConfig(listener=(4.0, 5.0, 1.5), reflection_order=1)
+        pos, mirror = S._placement(S.LocalizationTarget(270, "RV"), offset)
+        assert not mirror
+        np.testing.assert_array_equal(pos, [3.0, 5.0 + math.cos(math.radians(270)), 1.5])
 
     def test_output_clipped_to_source_length(self):
         src = S.make_source("white-noise", seed=1)
@@ -286,6 +303,47 @@ class TestBuildDataset:
         with pytest.raises(S.SpatialError, match="overlap"):
             S.build_dataset(self._sources(2), (0,), {"AE": AE}, 0.5, 1, tmp_path,
                             test_sources=self._sources(1))
+
+    def test_duplicate_azimuths_rejected(self, tmp_path):
+        with pytest.raises(S.SpatialError, match=r"duplicate azimuths \[90\]"):
+            S.build_dataset(self._sources(2), (0, 90, 90), {"AE": AE}, 0.5, 1,
+                            tmp_path)
+        assert not (tmp_path / "manifest.jsonl").exists()
+
+    # sha256 of manifest.jsonl for the corpus below, taken when every record
+    # was rendered on its own
+    _FULL_GRID_MANIFEST_SHA256 = (
+        "42bc81cb404b4609b1a62c7ba62f2d8396b93b15a0a942967a104473e2c02ca0")
+
+    def test_each_placement_rendered_once_per_source(self, tmp_path, monkeypatch):
+        sources, test_sources = self._sources(2), self._sources(1, offset=10)
+        scenes = {"AE": AE, "RV": RV}
+        calls = Counter()
+        render = S._render
+
+        def counting_render(src, src_pos, scene):
+            calls[scene, src_pos.tobytes()] += 1
+            return render(src, src_pos, scene)
+
+        monkeypatch.setattr(S, "_render", counting_render)
+        manifest = S.build_dataset(sources, S.AZIMUTH_GRID, scenes, 0.5, 5, tmp_path,
+                                   test_sources=test_sources)
+        monkeypatch.undo()
+        # 0, 180 and the 17 right-half azimuths; each left-half one shares
+        # its twin's placement
+        for scene in scenes.values():
+            placements = [n for (s, _), n in calls.items() if s == scene]
+            assert placements == [3] * 19
+        digest = hashlib.sha256((tmp_path / "manifest.jsonl").read_bytes()).hexdigest()
+        assert digest == self._FULL_GRID_MANIFEST_SHA256
+        assert len(manifest.records) == 36 * 3 * 2
+        waves = {**sources, **test_sources}
+        for r in manifest.records:
+            expected = io.BytesIO()
+            S.write_wav(expected, S.render_binaural(
+                waves[r.source_id], S.LocalizationTarget(r.azimuth, r.environment),
+                scenes[r.environment]))
+            assert (tmp_path / r.path).read_bytes() == expected.getvalue(), r.sample_id
 
     def test_bad_ratio(self, tmp_path):
         with pytest.raises(S.SpatialError, match="ratio"):
