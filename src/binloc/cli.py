@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -99,6 +100,7 @@ def _add_train_flags(p: _Parser) -> None:
                    help="override any config key")
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="binloc",
                      description="binaural sound localization workbench")

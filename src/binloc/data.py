@@ -86,7 +86,8 @@ def load_samples(manifest_path, frontend_cfg: FrontendConfig,
 
 
 def batches(samples: list[Sample], batch_size: int, order=None):
-    """Yield (x_left, x_right, target) batch arrays in the given order."""
+    """Yield (x_left, x_right, target, chunk) per batch in the given order:
+    three stacked arrays and the list of the batch's samples."""
     if order is None:
         order = np.arange(len(samples))
     for start in range(0, len(order), batch_size):

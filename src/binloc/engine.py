@@ -70,9 +70,9 @@ def current_graph() -> "Graph | None":
 class Tensor:
     """A dense array plus grad bookkeeping.
 
-    ``data`` is always a numpy float array; ``grad`` is populated by
-    ``Graph.backward`` for every tensor with ``requires_grad=True`` that
-    participated in the recorded computation.
+    ``data`` is always a numpy float array. ``Graph.backward`` sets ``grad``
+    on leaves only: tensors with ``requires_grad=True`` that no op on the
+    tape produced, such as parameters. Op outputs keep ``grad`` None.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name")
@@ -136,7 +136,7 @@ class Graph:
 
         with Graph() as g:
             loss = ...            # ops executed here are recorded
-        g.backward(loss)          # populates .grad on trainable tensors
+        g.backward(loss)          # populates .grad on trainable leaves
 
     Backward walks the tape in reverse execution order, so every recorded
     operation is visited exactly once and a tensor's gradient is complete
@@ -169,33 +169,24 @@ class Graph:
             raise GraphError(f"loss must be scalar, got shape {loss.shape}")
         self._consumed = True
 
-        pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaves: dict[int, tuple[Tensor, np.ndarray]] = {}
-        produced = {id(node.out) for node in self._nodes}
-
+        # Gradients on their way down, keyed by tensor id. A tensor's entry is
+        # complete, and popped, when the walk reaches the op that produced it;
+        # what is left at the end belongs to leaves (parameters and inputs).
+        pending: dict[int, tuple[Tensor, np.ndarray]] = {
+            id(loss): (loss, np.ones_like(loss.data))}
         for node in reversed(self._nodes):
-            grad_out = pending.pop(id(node.out), None)
-            if grad_out is None:
+            entry = pending.pop(id(node.out), None)
+            if entry is None:
                 continue  # not on a path to the loss
-            out = node.out
-            if out.requires_grad:
-                out.grad = grad_out if out.grad is None else out.grad + grad_out
-            for inp, g in zip(node.inputs, node.backward(grad_out)):
+            for inp, g in zip(node.inputs, node.backward(entry[1])):
                 if g is None or not inp.requires_grad:
                     continue
-                key = id(inp)
-                if key in pending:
-                    pending[key] = pending[key] + g
-                else:
-                    pending[key] = g
-                if key not in produced:
-                    leaves[key] = (inp, pending[key])
+                prev = pending.get(id(inp))
+                pending[id(inp)] = (inp, g if prev is None else prev[1] + g)
 
-        for key, (leaf, _) in leaves.items():
-            g = pending.get(key)
-            if g is None:
-                continue
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
+        for leaf, g in pending.values():
+            if leaf.requires_grad:
+                leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def _recording(inputs: Sequence[Tensor]) -> bool:

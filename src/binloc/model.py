@@ -209,93 +209,76 @@ def _checkpoint_init(arrays: dict[str, np.ndarray], path) -> Init:
     return init
 
 
-def _param(init: Init, name: str, shape: tuple[int, ...], fill: str,
-           dtype) -> E.Tensor:
-    return E.parameter(init(name, shape, fill), name=name, dtype=dtype)
+# A layer gets its parameters from a ``Param``: (name, shape, fill) -> the
+# trainable tensor, made by the model's initializer and registered by name.
+Param = Callable[[str, tuple[int, ...], str], E.Tensor]
 
 
 class Linear:
-    def __init__(self, d_in: int, d_out: int, init: Init, name: str, dtype):
-        self.w = _param(init, f"{name}.w", (d_in, d_out), "normal", dtype)
-        self.b = _param(init, f"{name}.b", (d_out,), "zeros", dtype)
+    def __init__(self, d_in: int, d_out: int, param: Param, name: str):
+        self.w = param(f"{name}.w", (d_in, d_out), "normal")
+        self.b = param(f"{name}.b", (d_out,), "zeros")
 
     def __call__(self, x: E.Tensor) -> E.Tensor:
         return E.linear(x, self.w, self.b)
 
-    def params(self):
-        return [self.w, self.b]
-
 
 class LayerNorm:
-    def __init__(self, dim: int, init: Init, name: str, dtype):
-        self.gain = _param(init, f"{name}.gain", (dim,), "ones", dtype)
-        self.bias = _param(init, f"{name}.bias", (dim,), "zeros", dtype)
+    def __init__(self, dim: int, param: Param, name: str):
+        self.gain = param(f"{name}.gain", (dim,), "ones")
+        self.bias = param(f"{name}.bias", (dim,), "zeros")
 
     def __call__(self, x: E.Tensor) -> E.Tensor:
         return E.layer_norm(x, self.gain, self.bias, axis=-1)
 
-    def params(self):
-        return [self.gain, self.bias]
-
 
 class SelfAttention:
-    def __init__(self, dim: int, heads: int, init: Init, name: str, dtype):
+    def __init__(self, dim: int, heads: int, param: Param, name: str):
         self.heads = heads
-        self.q = Linear(dim, dim, init, f"{name}.q", dtype)
-        self.k = Linear(dim, dim, init, f"{name}.k", dtype)
-        self.v = Linear(dim, dim, init, f"{name}.v", dtype)
-        self.out = Linear(dim, dim, init, f"{name}.out", dtype)
+        self.q = Linear(dim, dim, param, f"{name}.q")
+        self.k = Linear(dim, dim, param, f"{name}.k")
+        self.v = Linear(dim, dim, param, f"{name}.v")
+        self.out = Linear(dim, dim, param, f"{name}.out")
 
     def __call__(self, x: E.Tensor, capture: list | None) -> E.Tensor:
         y = E.attention(self.q(x), self.k(x), self.v(x), self.heads, capture)
         return self.out(y)
 
-    def params(self):
-        return self.q.params() + self.k.params() + self.v.params() + self.out.params()
-
 
 class Mlp:
-    def __init__(self, dim: int, hidden: int, dropout: float, init: Init, name: str,
-                 dtype):
-        self.fc1 = Linear(dim, hidden, init, f"{name}.fc1", dtype)
-        self.fc2 = Linear(hidden, dim, init, f"{name}.fc2", dtype)
+    def __init__(self, dim: int, hidden: int, dropout: float, param: Param,
+                 name: str):
+        self.fc1 = Linear(dim, hidden, param, f"{name}.fc1")
+        self.fc2 = Linear(hidden, dim, param, f"{name}.fc2")
         self.dropout = dropout
 
     def __call__(self, x: E.Tensor, training: bool, rng) -> E.Tensor:
         y = E.dropout(E.gelu(self.fc1(x)), self.dropout, training, rng)
         return E.dropout(self.fc2(y), self.dropout, training, rng)
 
-    def params(self):
-        return self.fc1.params() + self.fc2.params()
-
 
 class EncoderBlock:
     """Pre-norm block: x + MSA(LN(x)), then + MLP(LN(.))."""
 
     def __init__(self, dim: int, heads: int, mlp_dim: int, dropout: float,
-                 init: Init, name: str, dtype):
-        self.norm1 = LayerNorm(dim, init, f"{name}.norm1", dtype)
-        self.attn = SelfAttention(dim, heads, init, f"{name}.attn", dtype)
-        self.norm2 = LayerNorm(dim, init, f"{name}.norm2", dtype)
-        self.mlp = Mlp(dim, mlp_dim, dropout, init, f"{name}.mlp", dtype)
+                 param: Param, name: str):
+        self.norm1 = LayerNorm(dim, param, f"{name}.norm1")
+        self.attn = SelfAttention(dim, heads, param, f"{name}.attn")
+        self.norm2 = LayerNorm(dim, param, f"{name}.norm2")
+        self.mlp = Mlp(dim, mlp_dim, dropout, param, f"{name}.mlp")
 
     def __call__(self, x, training, rng, capture):
         x = E.add(x, self.attn(self.norm1(x), capture))
         return E.add(x, self.mlp(self.norm2(x), training, rng))
-
-    def params(self):
-        return (self.norm1.params() + self.attn.params()
-                + self.norm2.params() + self.mlp.params())
 
 
 class EncoderStack:
     """K stacked blocks; K = 0 is the identity on the sequence."""
 
     def __init__(self, dim: int, layers: int, heads: int, mlp_dim: int,
-                 dropout: float, init: Init, name: str, dtype):
+                 dropout: float, param: Param, name: str):
         self.blocks = [
-            EncoderBlock(dim, heads, mlp_dim, dropout, init,
-                         f"{name}.block{i}", dtype)
+            EncoderBlock(dim, heads, mlp_dim, dropout, param, f"{name}.block{i}")
             for i in range(layers)
         ]
 
@@ -304,9 +287,6 @@ class EncoderStack:
         for block in self.blocks:
             x = block(x, training, rng, capture)
         return x
-
-    def params(self):
-        return [p for block in self.blocks for p in block.params()]
 
 
 @dataclass
@@ -338,41 +318,36 @@ class BinauralTransformer:
         self.pos_table = E.Tensor(table, requires_grad=False,
                                   name="pos_table", dtype=dtype)
 
-        if config.shared:
-            proj = Linear(patch_dim, config.dim, init, "ear.proj", dtype)
-            self.proj_left = self.proj_right = proj
-            stack = EncoderStack(config.dim, config.layers, config.heads,
-                                 config.mlp_dim, config.dropout, init, "ear.enc", dtype)
-            self.enc_left = self.enc_right = stack
-        else:
-            self.proj_left = Linear(patch_dim, config.dim, init, "left.proj", dtype)
-            self.enc_left = EncoderStack(config.dim, config.layers, config.heads,
-                                         config.mlp_dim, config.dropout, init,
-                                         "left.enc", dtype)
-            self.proj_right = Linear(patch_dim, config.dim, init, "right.proj", dtype)
-            self.enc_right = EncoderStack(config.dim, config.layers, config.heads,
-                                          config.mlp_dim, config.dropout, init,
-                                          "right.enc", dtype)
+        # every trainable tensor, by name, in creation order; a shared ear
+        # pathway is created, and so listed, once
+        self._params: dict[str, E.Tensor] = {}
+
+        def param(name, shape, fill):
+            p = E.parameter(init(name, shape, fill), name=name, dtype=dtype)
+            self._params[name] = p
+            return p
+
+        def ear(name):
+            return (Linear(patch_dim, config.dim, param, f"{name}.proj"),
+                    EncoderStack(config.dim, config.layers, config.heads,
+                                 config.mlp_dim, config.dropout, param,
+                                 f"{name}.enc"))
+
+        left = ear("ear" if config.shared else "left")
+        right = left if config.shared else ear("right")
+        (self.proj_left, self.enc_left), (self.proj_right, self.enc_right) = left, right
 
         self.enc_center = EncoderStack(config.center_dim, config.layers,
                                        config.heads, config.mlp_dim, config.dropout,
-                                       init, "center.enc", dtype)
-        self.final_norm = LayerNorm(config.center_dim, init, "final_norm", dtype)
-        self.head = Linear(config.center_dim, 2, init, "head", dtype)
+                                       param, "center.enc")
+        self.final_norm = LayerNorm(config.center_dim, param, "final_norm")
+        self.head = Linear(config.center_dim, 2, param, "head")
 
     # -- parameters ---------------------------------------------------------
 
     def parameters(self) -> list[E.Tensor]:
-        """Trainable tensors, deduplicated (shared ears appear once)."""
-        seen: dict[int, E.Tensor] = {}
-        groups = [self.proj_left.params(), self.enc_left.params(),
-                  self.proj_right.params(), self.enc_right.params(),
-                  self.enc_center.params(), self.final_norm.params(),
-                  self.head.params()]
-        for group in groups:
-            for p in group:
-                seen.setdefault(id(p), p)
-        return list(seen.values())
+        """Trainable tensors in creation order (shared ears appear once)."""
+        return list(self._params.values())
 
     def count_parameters(self) -> int:
         """Trainable scalar count; the fixed position table is excluded."""

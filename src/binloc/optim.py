@@ -51,22 +51,17 @@ def zero_grads(params: list[Tensor]) -> None:
         p.grad = None
 
 
-def adam_step(params: list[Tensor], grads: list[np.ndarray | None],
-              state: AdamState) -> list[Tensor]:
-    """Apply one bias-corrected Adam update in place.
+def adam_step(params: list[Tensor], state: AdamState) -> None:
+    """Apply one bias-corrected Adam update in place from each ``p.grad``.
 
-    ``grads`` aligns with ``params``; a None gradient is treated as zero
-    (the parameter still advances its moment decay). Raises
-    ``OptimizerError`` on non-finite gradients, naming the parameter.
+    A None gradient is treated as zero (the parameter still advances its
+    moment decay). Raises ``OptimizerError`` on a gradient of the wrong
+    shape or with non-finite values, naming the parameter.
     """
-    if len(params) != len(grads):
-        raise OptimizerError(
-            f"got {len(params)} params but {len(grads)} gradients")
     # validate everything first so a bad gradient cannot half-apply a step
     checked = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g is None:
-            g = np.zeros_like(p.data)
+    for i, p in enumerate(params):
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
         if g.shape != p.data.shape:
             raise OptimizerError(
                 f"gradient shape {g.shape} does not match parameter "
@@ -96,4 +91,3 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray | None],
         mhat = m / bc1
         vhat = v / bc2
         p.data -= (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.data.dtype)
-    return params

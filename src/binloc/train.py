@@ -122,7 +122,7 @@ def train(cfg: ExperimentConfig, manifest_path, out_dir, pool=None
                         f"last good checkpoint at {final_path}")
                 graph.backward(loss)
                 try:
-                    adam_step(params, [p.grad for p in params], state)
+                    adam_step(params, state)
                 except OptimizerError as exc:
                     model.save(final_path)
                     raise TrainingDiverged(

@@ -97,6 +97,15 @@ class TestConfigResolution:
         assert (cfg.env_filter, cfg.seed) == ("AE", 9)
         assert cfg.model.dim == 128  # the desk profile underneath
 
+    def test_parser_built_once_and_reusable(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        assert main(["inspect-params", "--bogus"]) == 1
+        first = parser.parse_args(["inspect-params", "--shared", "--set", "dim=16"])
+        again = parser.parse_args(["inspect-params"])
+        assert (first.shared, first.set) == (True, ["dim=16"])
+        assert (again.shared, again.set) == (None, None)
+
 
 class TestGenData:
     def test_deterministic_across_invocations(self, tmp_path):

@@ -278,6 +278,17 @@ class TestBackward:
         g.backward(loss)
         np.testing.assert_allclose(p.grad, [5.0])
 
+    def test_grad_set_on_leaves_only(self):
+        p = E.parameter([2.0])
+        with E.Graph() as g:
+            square = E.mul(p, p)
+            total = E.add(square, p)
+            loss = E.tsum(total)
+        g.backward(loss)
+        np.testing.assert_allclose(p.grad, [5.0])
+        for t in (square, total, loss):
+            assert t.requires_grad and t.grad is None
+
     def test_no_recording_outside_graph(self):
         p = E.parameter([1.0])
         out = E.mul(p, p)
@@ -468,37 +479,50 @@ class TestFusedOps:
         np.testing.assert_allclose(out.data, 1.0, atol=1e-6)
 
 
+def _with_grad(p, grad):
+    p.grad = np.asarray(grad, dtype=np.float32)
+    return p
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameter(self):
-        p = E.parameter([1.0, 2.0], name="p")
+        p = _with_grad(E.parameter([1.0, 2.0], name="p"), np.zeros(2))
         state = AdamState(lr=0.1)
-        adam_step([p], [np.zeros(2, dtype=np.float32)], state)
+        adam_step([p], state)
+        np.testing.assert_array_equal(p.data, [1.0, 2.0])
+        assert state.step_count == 1
+
+    def test_missing_gradient_counts_as_zero(self):
+        p = E.parameter([1.0, 2.0], name="p")
+        assert p.grad is None
+        state = AdamState(lr=0.1)
+        adam_step([p], state)
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
         assert state.step_count == 1
 
     def test_first_step_is_bias_corrected_unit_step(self):
-        p = E.parameter([1.0], name="p")
-        adam_step([p], [np.ones(1, dtype=np.float32)], AdamState(lr=0.1))
+        p = _with_grad(E.parameter([1.0], name="p"), np.ones(1))
+        adam_step([p], AdamState(lr=0.1))
         np.testing.assert_allclose(p.data, [0.9], atol=1e-6)
 
     def test_constant_gradient_decreases_monotonically(self):
-        p = E.parameter([1.0], name="p")
+        p = _with_grad(E.parameter([1.0], name="p"), np.ones(1))
         state = AdamState(lr=0.1)
         values = [p.data[0]]
         for _ in range(2):
-            adam_step([p], [np.ones(1, dtype=np.float32)], state)
+            adam_step([p], state)
             values.append(p.data[0])
         assert values[0] > values[1] > values[2]
 
     def test_nan_gradient_names_parameter(self):
-        p = E.parameter([1.0], name="enc.weight")
+        p = _with_grad(E.parameter([1.0], name="enc.weight"), [np.nan])
         with pytest.raises(OptimizerError, match="enc.weight"):
-            adam_step([p], [np.array([np.nan], dtype=np.float32)], AdamState())
+            adam_step([p], AdamState())
 
     def test_moment_shapes_track_parameter(self):
-        p = E.parameter(np.ones((3, 4)), name="w")
+        p = _with_grad(E.parameter(np.ones((3, 4)), name="w"), np.ones((3, 4)))
         state = AdamState()
-        adam_step([p], [np.ones((3, 4), dtype=np.float32)], state)
+        adam_step([p], state)
         assert state.m[id(p)].shape == (3, 4)
         assert state.v[id(p)].shape == (3, 4)
 

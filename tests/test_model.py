@@ -127,8 +127,10 @@ class TestPositionTable:
 
 class TestEncoderStack:
     def test_zero_layers_is_identity(self):
-        stack = EncoderStack(16, 0, 2, 16, 0.0, np.random.default_rng(0), "e",
-                             np.float32)
+        def param(name, shape, fill):
+            raise AssertionError(f"a 0-layer stack made parameter {name}")
+
+        stack = EncoderStack(16, 0, 2, 16, 0.0, param, "e")
         x = E.tensor(np.random.default_rng(1).standard_normal((2, 5, 16)))
         out = stack(x)
         np.testing.assert_array_equal(out.data, x.data)
@@ -249,6 +251,54 @@ class TestForward:
             assert p.grad is not None, p.name
             assert np.any(p.grad != 0), p.name
 
+    def test_backward_sets_grad_on_parameters_only(self):
+        model = BinauralTransformer(TINY, seed=0)
+        rng = np.random.default_rng(8)
+        xl = rng.standard_normal((2, 20, 16))
+        xr = rng.standard_normal((2, 20, 16))
+        with E.Graph() as g:
+            pred = model.forward(xl, xr, training=True, rng=rng)
+            loss = E.tmean(E.mul(pred, pred))
+        produced = [node.out for node in g._nodes]
+        assert loss in produced and pred in produced
+        g.backward(loss)
+        for t in produced:
+            assert t.grad is None, t
+        for p in model.parameters():
+            assert p.grad is not None and p.grad.shape == p.shape, p.name
+
+    @pytest.mark.parametrize("integration", ["concat", "add", "sub"])
+    def test_shared_parameter_sums_both_ears(self, integration):
+        # a non-shared model whose two ears hold the shared model's weights
+        # gives each ear's contribution; shared mode sums them, right first
+        cfg = dataclasses.replace(TINY, shared=True, integration=integration)
+        shared = BinauralTransformer(cfg, seed=3, dtype=np.float64)
+        arrays = {p.name: p.data for p in shared.parameters()}
+
+        def init(name, shape, fill):
+            scope, rest = name.split(".", 1)
+            key = f"ear.{rest}" if scope in ("left", "right") else name
+            return arrays[key].copy()
+
+        split = BinauralTransformer(dataclasses.replace(cfg, shared=False),
+                                    dtype=np.float64, init=init)
+        rng = np.random.default_rng(9)
+        xl = rng.standard_normal((2, 20, 16))
+        xr = rng.standard_normal((2, 20, 16))
+        for model in (shared, split):
+            with E.Graph() as g:
+                pred = model.forward(xl, xr)
+                loss = E.tmean(E.mul(pred, pred))
+            g.backward(loss)
+        grads = {p.name: p.grad for p in split.parameters()}
+        for p in shared.parameters():
+            scope, rest = p.name.split(".", 1)
+            if scope == "ear":
+                want = grads[f"right.{rest}"] + grads[f"left.{rest}"]
+            else:
+                want = grads[p.name]
+            assert np.array_equal(p.grad, want), p.name
+
     def test_shape_mismatch_rejected(self):
         model = BinauralTransformer(TINY, seed=0)
         with pytest.raises(ConfigError, match="shape"):
@@ -297,6 +347,30 @@ class TestParameterBudgets:
         model = BinauralTransformer(TINY)
         names = {p.name for p in model.parameters()}
         assert "pos_table" not in names
+
+
+def _block_names(prefix):
+    names = [f"{prefix}.norm1.gain", f"{prefix}.norm1.bias"]
+    names += [f"{prefix}.attn.{m}.{t}" for m in ("q", "k", "v", "out") for t in "wb"]
+    names += [f"{prefix}.norm2.gain", f"{prefix}.norm2.bias"]
+    names += [f"{prefix}.mlp.{m}.{t}" for m in ("fc1", "fc2") for t in "wb"]
+    return names
+
+
+class TestParameterRegistry:
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_names_in_creation_order(self, shared):
+        cfg = dataclasses.replace(TINY, layers=2, shared=shared)
+        params = BinauralTransformer(cfg).parameters()
+        ears = ["ear"] if shared else ["left", "right"]
+        want = []
+        for ear in ears:
+            want += [f"{ear}.proj.w", f"{ear}.proj.b"]
+            want += _block_names(f"{ear}.enc.block0") + _block_names(f"{ear}.enc.block1")
+        want += _block_names("center.enc.block0") + _block_names("center.enc.block1")
+        want += ["final_norm.gain", "final_norm.bias", "head.w", "head.b"]
+        assert [p.name for p in params] == want
+        assert len({id(p) for p in params}) == len(params)
 
 
 class TestSharedStorage:
