@@ -219,6 +219,10 @@ def _cmd_eval(args) -> int:
     cfg, model = load_run(args.run, use_final=args.use_final)
     samples = load_samples(args.manifest, cfg.frontend, splits=(args.split,),
                            environments=cfg.environments)
+    if not samples:
+        raise StatsError(f"cannot evaluate an empty split: no {args.split!r} "
+                         f"samples in {args.manifest} under environment filter "
+                         f"{cfg.env_filter}")
     records, agg = evaluate(model, samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -277,27 +277,26 @@ def _into(ufunc, x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return ufunc(x, y, out=buf if buf.dtype == np.result_type(x, y) else None)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, axis: int = -1,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize along ``axis`` to zero mean / unit variance, then affine."""
-    n = a.data.shape[axis]
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    n = a.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({n},), got "
             f"{gain.data.shape} and {bias.data.shape}")
     # moments accumulate in 64-bit; centering/scaling stay in storage precision.
     # Temporaries are reused: the squares become xhat, centered the output.
-    mean = a.data.mean(axis=axis, keepdims=True, dtype=np.float64)
+    mean = a.data.mean(axis=-1, keepdims=True, dtype=np.float64)
     centered = a.data - mean.astype(a.data.dtype)
     squares = np.square(centered)
-    var = squares.mean(axis=axis, keepdims=True, dtype=np.float64)
-    inv = (1.0 / np.sqrt(var + eps)).astype(a.data.dtype)
+    var = squares.mean(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + 1e-5)).astype(a.data.dtype)
     xhat = np.multiply(centered, inv, out=squares)
     out = _into(np.multiply, xhat, gain.data, centered)
     out = _into(np.add, out, bias.data, out)
 
     def backward(g):
-        red = tuple(i for i in range(g.ndim) if i != axis % g.ndim)
+        red = tuple(range(g.ndim - 1))
         scratch = g * xhat
         ggain = scratch.sum(axis=red) if gain.requires_grad else None
         gbias = g.sum(axis=red) if bias.requires_grad else None
@@ -305,8 +304,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, axis: int = -1,
         if a.requires_grad:
             # ga = inv * (gx - m1 - xhat * m2), built up in gx
             gx = g * gain.data
-            m1 = gx.mean(axis=axis, keepdims=True)
-            m2 = _into(np.multiply, gx, xhat, scratch).mean(axis=axis, keepdims=True)
+            m1 = gx.mean(axis=-1, keepdims=True)
+            m2 = _into(np.multiply, gx, xhat, scratch).mean(axis=-1, keepdims=True)
             gx = _into(np.subtract, gx, m1, gx)
             gx = _into(np.subtract, gx, _into(np.multiply, xhat, m2, scratch), gx)
             ga = _into(np.multiply, inv, gx, gx)
@@ -315,19 +314,16 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, axis: int = -1,
     return _record_op((a, gain, bias), out, backward)
 
 
-def dropout(a: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | None = None) -> Tensor:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Zero each element with probability ``rate`` and rescale survivors.
 
-    Identity (the same tensor object) at eval time. The generator must be
-    supplied for training-mode calls so runs are reproducible.
+    Runs only when given a generator (training passes a seeded one): with
+    ``rng`` None, as at eval time, or ``rate`` 0 it returns ``a`` itself.
     """
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return a
-    if rng is None:
-        raise ParameterError("training-mode dropout needs an explicit rng")
     keep = (rng.random(a.data.shape) >= rate).astype(a.data.dtype)
     keep /= a.data.dtype.type(1.0 - rate)
     out = a.data * keep
@@ -342,44 +338,44 @@ def dropout(a: Tensor, rate: float, training: bool,
 # reductions and shape ops
 
 
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64)
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+    out = a.data.sum(axis=axis, dtype=np.float64)
     out = out.astype(a.data.dtype)
 
     def backward(g):
         if axis is None:
             return (np.broadcast_to(g, a.shape).astype(a.data.dtype),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).astype(a.data.dtype, copy=False).copy(),)
 
     return _record_op((a,), out, backward)
 
 
-def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor, axis: int | None = None) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=keepdims, dtype=np.float64)
+    out = a.data.mean(axis=axis, dtype=np.float64)
     out = out.astype(a.data.dtype)
 
     def backward(g):
         if axis is None:
             gg = np.broadcast_to(g / count, a.shape)
         else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            gg = np.broadcast_to(gg / count, a.shape)
+            gg = np.broadcast_to(np.expand_dims(g, axis) / count, a.shape)
         return (gg.astype(a.data.dtype, copy=False).copy(),)
 
     return _record_op((a,), out, backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join along the last axis."""
     if not tensors:
         raise ParameterError("concat needs at least one tensor")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
+    out = np.concatenate([t.data for t in tensors], axis=-1)
+    sizes = [t.data.shape[-1] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits, axis=-1))
 
     return _record_op(tuple(tensors), out, backward)
 

@@ -165,8 +165,7 @@ _CACHE_MAGIC = b"BLSPEC2\n"
 
 
 def save_spectrogram_cache(path, entries: dict[str, tuple[np.ndarray, np.ndarray]],
-                           cfg: FrontendConfig, *, corpus_hash: str | None = None
-                           ) -> None:
+                           cfg: FrontendConfig, *, corpus_hash: str) -> None:
     """Write named (left, right) spectrogram pairs tagged with the frontend
     config hash and the hash of the corpus they came from.
 
@@ -181,16 +180,17 @@ def load_spectrogram_cache(path, cfg: FrontendConfig, *, corpus_hash: str | None
                            ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Read a cache written by ``save_spectrogram_cache``.
 
-    Raises ``FrontendError`` when the file is not a cache in this layout or
-    is cut short, when the stored frontend config hash does not match
-    ``cfg``, and, if ``corpus_hash`` is given, when the cache was built from
-    another corpus.
+    Raises ``FrontendError`` when the file is not a cache in this layout, is
+    cut short or has a malformed header, when the stored frontend config
+    hash does not match ``cfg``, and, if ``corpus_hash`` is given, when the
+    cache was built from another corpus.
     """
     header, pairs = read_tensor_file(path, _CACHE_MAGIC, "spectrogram cache",
                                      FrontendError)
-    if header["config_hash"] != cfg.hash():
+    stored_config = header.get("config_hash")
+    if stored_config != cfg.hash():
         raise FrontendError(
-            f"{path}: cache was generated under config {header['config_hash']}, "
+            f"{path}: cache was generated under config {stored_config}, "
             f"current config is {cfg.hash()}")
     stored_corpus = header.get("corpus_hash")
     if corpus_hash is not None and stored_corpus != corpus_hash:

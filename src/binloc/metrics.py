@@ -28,6 +28,7 @@ __all__ = [
     "HemifieldReport",
     "StatsError",
     "MIRROR_PAIRS",
+    "FDR_ALPHA",
     "evaluate",
     "per_azimuth",
     "paired_t",
@@ -45,6 +46,9 @@ __all__ = [
 # (right-hemifield azimuth, mirrored left-hemifield azimuth); 0 and 180 sit
 # on the midline and belong to neither side.
 MIRROR_PAIRS = tuple((theta, 360 - theta) for theta in range(10, 180, 10))
+
+# Benjamini-Hochberg false discovery rate at which a comparison is significant
+FDR_ALPHA = 0.05
 
 
 class StatsError(ValueError):
@@ -83,22 +87,14 @@ def evaluate(model, samples: list[Sample], batch_size: int = 32
     return records, aggregates
 
 
-def per_azimuth(records: list[EvalRecord], metric: str = "ad_deg"
-                ) -> list[tuple[int, float | None]]:
-    """Mean error per azimuth in radar order 0..350; absent azimuths are None."""
+def per_azimuth(records: list[EvalRecord]) -> list[tuple[int, float | None]]:
+    """Mean angular error per azimuth in radar order 0..350; absent azimuths
+    are None."""
     by_az: dict[int, list[float]] = {}
     for r in records:
-        by_az.setdefault(r.azimuth, []).append(getattr(r, _metric_field(metric)))
+        by_az.setdefault(r.azimuth, []).append(r.ad_deg)
     return [(az, float(np.mean(by_az[az])) if az in by_az else None)
             for az in AZIMUTH_GRID]
-
-
-def _metric_field(metric: str) -> str:
-    if metric in ("ad_deg", "ad"):
-        return "ad_deg"
-    if metric in ("mse", "sq_err"):
-        return "sq_err"
-    raise StatsError(f"unknown metric {metric!r}")
 
 
 def paired_t(differences: np.ndarray) -> tuple[float, float]:
@@ -153,16 +149,15 @@ class HemifieldComparison:
 @dataclass
 class HemifieldReport:
     family: str
-    alpha: float
     comparisons: list[HemifieldComparison] = field(default_factory=list)
 
 
-def hemifield_test(records: list[EvalRecord], metrics=("ad_deg", "mse"),
-                   label: str = "") -> list[HemifieldComparison]:
-    """Raw (uncorrected) mirror-pair comparisons for one evaluation run."""
+def hemifield_test(records: list[EvalRecord], label: str = ""
+                   ) -> list[HemifieldComparison]:
+    """Raw (uncorrected) mirror-pair comparisons for one evaluation run, one
+    per metric: angular error, then squared error."""
     comparisons = []
-    for metric in metrics:
-        fieldname = _metric_field(metric)
+    for metric, fieldname in (("ad_deg", "ad_deg"), ("mse", "sq_err")):
         by_az: dict[int, list[float]] = {}
         for r in records:
             by_az.setdefault(r.azimuth, []).append(getattr(r, fieldname))
@@ -180,20 +175,19 @@ def hemifield_test(records: list[EvalRecord], metrics=("ad_deg", "mse"),
     return comparisons
 
 
-def fdr_correct(comparisons: list[HemifieldComparison], alpha: float = 0.05,
-                family: str = "all comparisons in one run") -> HemifieldReport:
-    """Adjust a family of comparisons together and flag significance."""
+def fdr_correct(comparisons: list[HemifieldComparison], family: str
+                ) -> HemifieldReport:
+    """Adjust a family of comparisons together; significant below FDR_ALPHA."""
     adjusted = bh_adjust([c.p_raw for c in comparisons])
     for c, p in zip(comparisons, adjusted):
         c.p_adj = float(p)
-        c.significant = bool(p < alpha)
-    return HemifieldReport(family=family, alpha=alpha, comparisons=comparisons)
+        c.significant = bool(p < FDR_ALPHA)
+    return HemifieldReport(family=family, comparisons=comparisons)
 
 
-def hemifield_report(records: list[EvalRecord], metrics=("ad_deg", "mse"),
-                     label: str = "", alpha: float = 0.05) -> HemifieldReport:
+def hemifield_report(records: list[EvalRecord], label: str = "") -> HemifieldReport:
     """Single-run report; the FDR family is this run's metrics."""
-    return fdr_correct(hemifield_test(records, metrics, label), alpha=alpha,
+    return fdr_correct(hemifield_test(records, label),
                        family="metrics within one evaluation run")
 
 
@@ -207,8 +201,6 @@ def environment_transfer(models: dict[str, object],
     """
     rows = []
     for train_env, model in models.items():
-        if model is None:
-            raise StatsError(f"missing trained model for {train_env!r}")
         for test_env, samples in test_splits.items():
             _, agg = evaluate(model, samples)
             rows.append({"train_env": train_env, "test_env": test_env,
@@ -234,23 +226,22 @@ def write_overall(out_dir, aggregates: dict[str, float], label: str = "") -> Non
     _write_json(out_dir / "overall.json", {"label": label, **aggregates})
 
 
-def write_per_azimuth(out_dir, table: list[tuple[int, float | None]],
-                      metric: str = "ad_deg") -> None:
+def write_per_azimuth(out_dir, table: list[tuple[int, float | None]]) -> None:
     out_dir = Path(out_dir)
     with open(out_dir / "per_azimuth.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["azimuth_deg", metric])
+        w.writerow(["azimuth_deg", "ad_deg"])
         for az, value in table:
             w.writerow([az, "" if value is None else f"{value:.6f}"])
     _write_json(out_dir / "per_azimuth.json",
-                {"metric": metric, "table": [
+                {"metric": "ad_deg", "table": [
                     {"azimuth_deg": az, "value": value} for az, value in table]})
 
 
 def write_hemifield(out_dir, report: HemifieldReport) -> None:
     out_dir = Path(out_dir)
     with open(out_dir / "hemifield.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# fdr_family: {report.family}; alpha={report.alpha}\n")
+        fh.write(f"# fdr_family: {report.family}; alpha={FDR_ALPHA}\n")
         w = csv.writer(fh)
         w.writerow(["label", "metric", "n_pairs", "t_stat", "p_raw", "p_adj",
                     "significant"])
@@ -258,7 +249,7 @@ def write_hemifield(out_dir, report: HemifieldReport) -> None:
             w.writerow([c.label, c.metric, len(c.pairs), f"{c.t_stat:.6g}",
                         f"{c.p_raw:.6g}", f"{c.p_adj:.6g}", c.significant])
     _write_json(out_dir / "hemifield.json",
-                {"family": report.family, "alpha": report.alpha,
+                {"family": report.family, "alpha": FDR_ALPHA,
                  "comparisons": [asdict(c) for c in report.comparisons]})
 
 

@@ -161,7 +161,7 @@ def integrate(z_left: E.Tensor, z_right: E.Tensor, mode: str) -> E.Tensor:
     if mode == "sub":
         return E.sub(z_right, z_left)  # left subtracted from right
     if mode == "concat":
-        return E.concat([z_left, z_right], axis=-1)
+        return E.concat([z_left, z_right])
     raise ConfigError(f"unknown integration mode {mode!r}")
 
 
@@ -229,7 +229,7 @@ class LayerNorm:
         self.bias = param(f"{name}.bias", (dim,), "zeros")
 
     def __call__(self, x: E.Tensor) -> E.Tensor:
-        return E.layer_norm(x, self.gain, self.bias, axis=-1)
+        return E.layer_norm(x, self.gain, self.bias)
 
 
 class SelfAttention:
@@ -252,9 +252,9 @@ class Mlp:
         self.fc2 = Linear(hidden, dim, param, f"{name}.fc2")
         self.dropout = dropout
 
-    def __call__(self, x: E.Tensor, training: bool, rng) -> E.Tensor:
-        y = E.dropout(E.gelu(self.fc1(x)), self.dropout, training, rng)
-        return E.dropout(self.fc2(y), self.dropout, training, rng)
+    def __call__(self, x: E.Tensor, rng) -> E.Tensor:
+        y = E.dropout(E.gelu(self.fc1(x)), self.dropout, rng)
+        return E.dropout(self.fc2(y), self.dropout, rng)
 
 
 class EncoderBlock:
@@ -267,9 +267,9 @@ class EncoderBlock:
         self.norm2 = LayerNorm(dim, param, f"{name}.norm2")
         self.mlp = Mlp(dim, mlp_dim, dropout, param, f"{name}.mlp")
 
-    def __call__(self, x, training, rng, capture):
+    def __call__(self, x, rng, capture):
         x = E.add(x, self.attn(self.norm1(x), capture))
-        return E.add(x, self.mlp(self.norm2(x), training, rng))
+        return E.add(x, self.mlp(self.norm2(x), rng))
 
 
 class EncoderStack:
@@ -282,10 +282,10 @@ class EncoderStack:
             for i in range(layers)
         ]
 
-    def __call__(self, x: E.Tensor, training: bool = False, rng=None,
-                 capture: list | None = None) -> E.Tensor:
+    def __call__(self, x: E.Tensor, rng=None, capture: list | None = None
+                 ) -> E.Tensor:
         for block in self.blocks:
-            x = block(x, training, rng, capture)
+            x = block(x, rng, capture)
         return x
 
 
@@ -357,8 +357,6 @@ class BinauralTransformer:
 
     def _as_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
-        if x.ndim == 2:
-            x = x[None]
         cfg = self.config
         if x.shape[1:] != (cfg.height, cfg.width):
             raise ConfigError(
@@ -366,41 +364,38 @@ class BinauralTransformer:
                 f"({cfg.height}, {cfg.width})")
         return x
 
-    def embed(self, x: np.ndarray, proj: Linear, training: bool, rng) -> E.Tensor:
+    def embed(self, x: np.ndarray, proj: Linear, rng) -> E.Tensor:
         cfg = self.config
         patches = extract_patches(self._as_batch(x), cfg.patch, cfg.stride, self.grid)
         tokens = E.add(proj(E.Tensor(patches, dtype=self.dtype)), self.pos_table)
-        return E.dropout(tokens, cfg.dropout, training, rng)
+        return E.dropout(tokens, cfg.dropout, rng)
 
-    def integrated(self, x_left: np.ndarray, x_right: np.ndarray,
-                   training: bool = False, rng=None,
+    def integrated(self, x_left: np.ndarray, x_right: np.ndarray, rng=None,
                    capture: AttentionCapture | None = None) -> E.Tensor:
         """Per-ear encoders plus interaural integration (input to the center)."""
         cap_l = capture.left if capture is not None else None
         cap_r = capture.right if capture is not None else None
-        z_l = self.enc_left(self.embed(x_left, self.proj_left, training, rng),
-                            training, rng, cap_l)
-        z_r = self.enc_right(self.embed(x_right, self.proj_right, training, rng),
-                             training, rng, cap_r)
+        z_l = self.enc_left(self.embed(x_left, self.proj_left, rng), rng, cap_l)
+        z_r = self.enc_right(self.embed(x_right, self.proj_right, rng), rng, cap_r)
         return integrate(z_l, z_r, self.config.integration)
 
-    def forward(self, x_left: np.ndarray, x_right: np.ndarray,
-                training: bool = False, rng=None,
+    def forward(self, x_left: np.ndarray, x_right: np.ndarray, rng=None,
                 capture: AttentionCapture | None = None) -> E.Tensor:
-        z = self.integrated(x_left, x_right, training, rng, capture)
+        """Predicted coordinates; dropout runs only when ``rng`` is given."""
+        z = self.integrated(x_left, x_right, rng, capture)
         cap_c = capture.center if capture is not None else None
-        z = self.enc_center(z, training, rng, cap_c)
+        z = self.enc_center(z, rng, cap_c)
         pooled = E.tmean(self.final_norm(z), axis=1)
         return self.head(pooled)
 
     def predict(self, x_left: np.ndarray, x_right: np.ndarray) -> np.ndarray:
         """Eval-mode coordinates, shape (batch, 2)."""
-        return self.forward(x_left, x_right, training=False).data
+        return self.forward(x_left, x_right).data
 
     def forward_with_attention(self, x_left: np.ndarray, x_right: np.ndarray
                                ) -> tuple[np.ndarray, AttentionCapture]:
         capture = AttentionCapture.empty()
-        pred = self.forward(x_left, x_right, training=False, capture=capture)
+        pred = self.forward(x_left, x_right, capture=capture)
         return pred.data, capture
 
     # -- persistence --------------------------------------------------------
@@ -410,11 +405,11 @@ class BinauralTransformer:
                      config_hash=self.config.hash())
 
     @classmethod
-    def load(cls, path, config: ModelConfig, dtype=np.float32
-             ) -> "BinauralTransformer":
-        """Build a model from a checkpoint saved under an identical configuration."""
+    def load(cls, path, config: ModelConfig) -> "BinauralTransformer":
+        """Build a float32 model from a checkpoint saved under an identical
+        configuration."""
         arrays, _ = load_tensors(path, expected_config_hash=config.hash())
-        model = cls(config, dtype=dtype, init=_checkpoint_init(arrays, path))
+        model = cls(config, init=_checkpoint_init(arrays, path))
         if arrays:
             raise ConfigError(f"checkpoint {path} does not match model: "
                               f"unexpected {sorted(arrays)}")

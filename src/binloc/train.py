@@ -70,11 +70,13 @@ def train(cfg: ExperimentConfig, manifest_path, out_dir, pool=None
     last epoch.
 
     The run is fully reproducible from ``cfg.seed``: model init, epoch
-    shuffles, and dropout each draw from their own seeded stream. A
-    non-finite loss aborts with the last good parameters saved next to the
-    diagnostics. When ``cfg.early_stop_train_ad`` is set, training stops
-    once the running training-set angular error (from the epoch's own
-    forward passes) drops below the threshold.
+    shuffles, and dropout each draw from their own seeded stream. Dropout
+    runs only in the training passes, which get ``rng=drop_rng``;
+    validation calls ``predict``, which passes no rng. A non-finite loss
+    aborts with the last good parameters saved next to the diagnostics.
+    When ``cfg.early_stop_train_ad`` is set, training stops once the
+    running training-set angular error (from the epoch's own forward
+    passes) drops below the threshold.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -113,7 +115,7 @@ def train(cfg: ExperimentConfig, manifest_path, out_dir, pool=None
             for b, (xl, xr, target, _) in enumerate(
                     batches(train_samples, cfg.batch, order)):
                 with E.Graph() as graph:
-                    pred = model.forward(xl, xr, training=True, rng=drop_rng)
+                    pred = model.forward(xl, xr, rng=drop_rng)
                     loss = loss_fn(target, pred)
                 if not np.isfinite(loss.item()):
                     model.save(final_path)
@@ -275,9 +277,8 @@ def _write_grid_csv(path, cells, losses, integrations, sharings) -> None:
                 row = [_mode_name(shared), loss_kind]
                 for metric in ("ad_deg", "mse"):
                     for integration in integrations:
-                        cell = index.get((_mode_name(shared), loss_kind,
-                                          integration))
-                        if cell is None or cell["error"]:
+                        cell = index[(_mode_name(shared), loss_kind, integration)]
+                        if cell["error"]:
                             row.append("error")
                         elif metric == "mse" and loss_kind == "ad":
                             row.append(MISSING_MSE)

@@ -170,8 +170,9 @@ def read_tensor_file(path, magic: bytes, what: str, error: type[Exception]
 
     The returned header no longer holds the ``"tensors"`` table. Raises
     ``error`` naming ``path`` when the magic is not ``magic`` (the file is
-    not a ``what``, or an older layout of one), when the header is cut short
-    or unreadable, or when the payload ends before a tensor does.
+    not a ``what``, or an older layout of one), when the header is cut short,
+    unreadable or not a JSON object with a tensor table, when a table entry
+    is malformed, or when the payload ends before a tensor does.
     """
     data = Path(path).read_bytes()
     start = len(magic) + 4
@@ -187,13 +188,23 @@ def read_tensor_file(path, magic: bytes, what: str, error: type[Exception]
         header = json.loads(data[start:start + mlen].decode("utf-8"))
     except ValueError as exc:
         raise error(f"{path}: unreadable header ({exc})") from None
+    table = header.pop("tensors", None) if isinstance(header, dict) else None
+    if not isinstance(table, dict):
+        raise error(f"{path}: header is not a JSON object with a tensor table")
     start += mlen
     payload = np.frombuffer(data, dtype="<f4", count=(len(data) - start) // 4,
                             offset=start)
     tensors = {}
-    for name, entry in header.pop("tensors").items():
-        begin, count = entry["offset"], entry["count"]
-        if begin + count > payload.size:
+    for name, entry in table.items():
+        try:
+            begin, count, shape = entry["offset"], entry["count"], entry["shape"]
+            if min(begin, count) < 0:  # a negative offset reads from the end
+                raise ValueError("negative offset or count")
+            if begin + count <= payload.size:
+                tensors[name] = payload[begin:begin + count].reshape(shape).copy()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise error(f"{path}: malformed header entry for {name!r} "
+                        f"({type(exc).__name__}: {exc})") from None
+        if name not in tensors:
             raise error(f"{path}: truncated payload for {name!r}")
-        tensors[name] = payload[begin:begin + count].reshape(entry["shape"]).copy()
     return header, tensors

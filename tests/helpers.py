@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 
 from binloc.rollout import _upsample_index
@@ -70,3 +73,23 @@ def fail_writes_after(monkeypatch, module, writes):
     monkeypatch.setattr(module, "open",
                         lambda path, mode: _FailingFile(open(path, mode), writes),
                         raising=False)
+
+
+# JSON headers a tensor file must not be read with, and what the reader's
+# error names: not an object, no tensor table, an entry whose shape does not
+# hold its count, an entry before the payload's start
+MALFORMED_HEADERS = [
+    ([1, 2], "not a JSON object"),
+    ({}, "tensor table"),
+    ({"tensors": {"a": {"shape": [3], "offset": 0, "count": 2}}},
+     "malformed header entry for 'a'"),
+    ({"tensors": {"a": {"shape": [2], "offset": -4, "count": 2}}},
+     "negative offset"),
+]
+
+
+def tensor_file_bytes(magic: bytes, header, payload: bytes = bytes(16)) -> bytes:
+    """A tensor file in the ``util.write_tensor_file`` layout with any JSON
+    ``header``."""
+    head = json.dumps(header).encode("utf-8")
+    return magic + struct.pack("<I", len(head)) + head + payload

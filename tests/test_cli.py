@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, end-to-end plumbing."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from binloc import cli
 from binloc.cli import main
 from binloc.config import ExperimentConfig
 from binloc.spatial import load_manifest
+from helpers import tensor_file_bytes
 
 
 def _file_hashes(root: Path) -> dict[str, bytes]:
@@ -225,6 +227,31 @@ class TestPipeline:
         assert (out / f"rollout_{sample_id}_center.csv").exists()
         meta = json.loads((out / f"rollout_{sample_id}_meta.json").read_text())
         assert meta["sample_id"] == sample_id
+
+    def test_eval_of_empty_split_names_manifest_split_and_filter(
+            self, cli_workspace, tmp_path, capsys):
+        data, run = cli_workspace  # rendered without test sources
+        manifest = str(data / "manifest.jsonl")
+        assert main(["eval", "--run", str(run), "--manifest", manifest,
+                     "--split", "test", "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "no 'test' samples in" in err and manifest in err
+        assert "environment filter AE" in err
+
+    def test_malformed_checkpoint_is_checkpoint_error(self, cli_workspace,
+                                                      tmp_path, capsys):
+        data, run = cli_workspace
+        broken = tmp_path / "run"
+        shutil.copytree(run, broken)
+        (broken / "best.ckpt").write_bytes(tensor_file_bytes(b"BLTENS1\n", {}))
+        manifest = str(data / "manifest.jsonl")
+        sample_id = load_manifest(manifest).records[0].sample_id
+        for args in (["eval", "--split", "val"], ["rollout", "--sample-id", sample_id]):
+            capsys.readouterr()
+            assert main([*args, "--run", str(broken), "--manifest", manifest,
+                         "--out", str(tmp_path / args[0])]) == 2
+            err = capsys.readouterr().err
+            assert "CheckpointError" in err and str(broken / "best.ckpt") in err
 
     def test_rollout_unknown_sample_is_runtime_error(self, cli_workspace,
                                                      tmp_path):

@@ -10,6 +10,7 @@ from binloc.cli import main
 from binloc.data import load_samples
 from binloc.frontend import CANONICAL, binaural_spectrogram
 from binloc.spatial import load_manifest, read_wav
+from helpers import MALFORMED_HEADERS, tensor_file_bytes
 
 
 def _gen_data(out, seed):
@@ -54,7 +55,8 @@ def test_cache_from_another_corpus_is_rebuilt(tmp_path, capsys):
 @pytest.mark.parametrize("damage,cause", [
     (lambda data: data[:len(data) // 2], "truncated payload for"),
     (lambda data: b"NOTSPEC\n" + data[8:], "not a spectrogram cache"),
-])
+] + [((lambda data, h=header: tensor_file_bytes(b"BLSPEC2\n", h)), cause)
+     for header, cause in MALFORMED_HEADERS])
 def test_damaged_cache_is_rebuilt_with_a_message(manifest, tmp_path, capsys,
                                                 damage, cause):
     cache = tmp_path / "spectrograms.cache"

@@ -198,17 +198,16 @@ class TestGelu:
 class TestDropout:
     def test_eval_is_identity_object(self):
         x = E.tensor(np.arange(5.0))
-        assert E.dropout(x, 0.5, training=False) is x
+        assert E.dropout(x, 0.5, None) is x
 
     def test_rate_zero_identity(self):
         x = E.tensor(np.arange(5.0))
-        out = E.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(out.data, x.data)
+        assert E.dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_survivor_fraction(self):
         rng = np.random.default_rng(9)
         x = E.tensor(np.ones(1_000_000))
-        out = E.dropout(x, 0.2, training=True, rng=rng)
+        out = E.dropout(x, 0.2, rng)
         frac = np.count_nonzero(out.data) / x.size
         assert abs(frac - 0.8) <= 0.01
         # survivors rescaled by 1/(1-rate)
@@ -216,13 +215,12 @@ class TestDropout:
 
     def test_rate_one_rejected(self):
         with pytest.raises(E.ParameterError):
-            E.dropout(E.tensor([1.0]), 1.0, training=True,
-                      rng=np.random.default_rng(0))
+            E.dropout(E.tensor([1.0]), 1.0, np.random.default_rng(0))
 
     def test_backward_passes_mask(self):
         x = E.parameter(np.ones(1000), dtype=np.float64)
         with E.Graph() as g:
-            out = E.dropout(x, 0.3, training=True, rng=np.random.default_rng(4))
+            out = E.dropout(x, 0.3, np.random.default_rng(4))
             loss = E.tsum(out)
         g.backward(loss)
         mask = out.data != 0
@@ -318,7 +316,7 @@ def test_op_gradients_match_finite_differences(opname):
         if opname == "tmean":
             return E.tmean(a, axis=1), [a]
         if opname == "concat":
-            return E.concat([a, b], axis=1), [a, b]
+            return E.concat([a, b]), [a, b]
         if opname == "linear":
             return E.linear(x, w, bias), [x, w, bias]
         if opname == "attention":

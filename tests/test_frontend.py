@@ -20,7 +20,7 @@ from binloc.frontend import (
     tukey_window,
 )
 from binloc import util
-from helpers import fail_writes_after
+from helpers import MALFORMED_HEADERS, fail_writes_after, tensor_file_bytes
 
 RAW = dataclasses.replace(CANONICAL, log_compress=False, standardize=False)
 
@@ -184,7 +184,7 @@ class TestSpectrogramCache:
             "b": binaural_spectrogram(_stereo(rng)),
         }
         path = tmp_path / "spec.cache"
-        save_spectrogram_cache(path, entries, CANONICAL)
+        save_spectrogram_cache(path, entries, CANONICAL, corpus_hash="c1")
         loaded = load_spectrogram_cache(path, CANONICAL)
         assert set(loaded) == {"a", "b"}
         for name in entries:
@@ -195,7 +195,7 @@ class TestSpectrogramCache:
         rng = np.random.default_rng(10)
         path = tmp_path / "spec.cache"
         save_spectrogram_cache(path, {"a": binaural_spectrogram(_stereo(rng))},
-                               CANONICAL)
+                               CANONICAL, corpus_hash="c1")
         other = FrontendConfig(log_compress=False)
         with pytest.raises(FrontendError, match="config"):
             load_spectrogram_cache(path, other)
@@ -219,21 +219,30 @@ class TestSpectrogramCache:
         rng = np.random.default_rng(12)
         path = tmp_path / "spec.cache"
         save_spectrogram_cache(path, {name: binaural_spectrogram(_stereo(rng))
-                                      for name in ("a", "b")}, CANONICAL)
+                                      for name in ("a", "b")},
+                               CANONICAL, corpus_hash="c1")
         data = path.read_bytes()
         path.write_bytes(data[:keep(len(data))])
         with pytest.raises(FrontendError, match=match):
             load_spectrogram_cache(path, CANONICAL)
 
+    @pytest.mark.parametrize("header,match", MALFORMED_HEADERS)
+    def test_malformed_cache_header_rejected(self, tmp_path, header, match):
+        path = tmp_path / "spec.cache"
+        path.write_bytes(tensor_file_bytes(b"BLSPEC2\n", header))
+        with pytest.raises(FrontendError, match=match) as info:
+            load_spectrogram_cache(path, CANONICAL)
+        assert str(path) in str(info.value)
+
     def test_failed_save_keeps_previous_cache(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(13)
         old = {"a": binaural_spectrogram(_stereo(rng))}
         path = tmp_path / "spec.cache"
-        save_spectrogram_cache(path, old, CANONICAL)
+        save_spectrogram_cache(path, old, CANONICAL, corpus_hash="c1")
         fail_writes_after(monkeypatch, util, 3)  # magic, length, header
         with pytest.raises(OSError, match="No space"):
             save_spectrogram_cache(path, {"b": binaural_spectrogram(_stereo(rng))},
-                                   CANONICAL)
+                                   CANONICAL, corpus_hash="c1")
         loaded = load_spectrogram_cache(path, CANONICAL)
         assert set(loaded) == {"a"}
         np.testing.assert_array_equal(loaded["a"][0], old["a"][0])

@@ -154,7 +154,7 @@ class TestHemifield:
         for right_az, left_az in MIRROR_PAIRS:
             values[right_az] = [right_az / 100.0] * 3
             values[left_az] = [right_az / 100.0] * 3
-        report = hemifield_report(_records(values), metrics=("ad_deg",))
+        report = hemifield_report(_records(values))
         c = report.comparisons[0]
         assert len(c.pairs) == 17
         assert c.t_stat == 0.0
@@ -169,7 +169,7 @@ class TestHemifield:
             noise = rng.normal(0, 0.05)
             values[right_az] = [base]
             values[left_az] = [base + 5.0 + noise]
-        report = hemifield_report(_records(values), metrics=("ad_deg",))
+        report = hemifield_report(_records(values))
         c = report.comparisons[0]
         assert c.p_adj < 0.05
         assert c.significant
@@ -184,7 +184,7 @@ class TestHemifield:
     def test_missing_pairs_error_below_three(self):
         values = {10: [1.0], 350: [1.0], 20: [1.0], 340: [1.0]}
         with pytest.raises(StatsError):
-            hemifield_test(_records(values), metrics=("ad_deg",))
+            hemifield_test(_records(values))
 
     def test_family_correction_across_conditions(self):
         rng = np.random.default_rng(4)
@@ -208,10 +208,6 @@ class TestEnvironmentTransfer:
         assert len(rows) == 6
         assert {(r["train_env"], r["test_env"]) for r in rows} == {
             (tr, te) for tr in models for te in splits}
-
-    def test_missing_model_rejected(self):
-        with pytest.raises(StatsError, match="missing"):
-            environment_transfer({"AE": None}, {"AE": _samples()})
 
 
 class TestWriters:

@@ -27,7 +27,7 @@ from binloc.model import (
     sincos_position_table,
 )
 from binloc.util import from_kv, to_kv
-from helpers import fail_writes_after
+from helpers import MALFORMED_HEADERS, fail_writes_after, tensor_file_bytes
 
 TINY = ModelConfig(height=20, width=16, patch=8, stride=6, dim=32, layers=1,
                    heads=2, mlp_dim=32, dropout=0.0, integration="sub")
@@ -153,6 +153,16 @@ class TestEncoderStack:
         xr = rng.standard_normal((2, 20, 16))
         np.testing.assert_array_equal(model.predict(xl, xr), model.predict(xl, xr))
 
+    def test_dropout_runs_only_with_an_rng(self):
+        model = BinauralTransformer(dataclasses.replace(TINY, dropout=0.2), seed=0)
+        rng = np.random.default_rng(3)
+        xl = rng.standard_normal((2, 20, 16))
+        xr = rng.standard_normal((2, 20, 16))
+        eval_pred = model.predict(xl, xr)
+        np.testing.assert_array_equal(model.forward(xl, xr).data, eval_pred)
+        dropped = model.forward(xl, xr, rng=np.random.default_rng(0)).data
+        assert not np.array_equal(dropped, eval_pred)
+
 
 class TestIntegrate:
     def test_sub_of_equal_maps_is_zero(self):
@@ -179,16 +189,14 @@ class TestIntegrate:
 class TestEmbedding:
     def test_zero_input_gives_bias_plus_position(self):
         model = BinauralTransformer(TINY, seed=0)
-        out = model.embed(np.zeros((1, 20, 16)), model.proj_left,
-                          training=False, rng=None)
+        out = model.embed(np.zeros((1, 20, 16)), model.proj_left, rng=None)
         expected = model.proj_left.b.data + model.pos_table.data
         np.testing.assert_allclose(out.data[0], expected, atol=1e-6)
 
     def test_canonical_sequence_geometry(self):
         cfg = ModelConfig(dim=64, heads=4, mlp_dim=64, layers=0, dropout=0.0)
         model = BinauralTransformer(cfg, seed=0)
-        out = model.embed(np.zeros((1, 129, 61)), model.proj_left,
-                          training=False, rng=None)
+        out = model.embed(np.zeros((1, 129, 61)), model.proj_left, rng=None)
         assert out.shape == (1, 180, 64)
 
     def test_locality_of_patch_embeddings(self):
@@ -198,8 +206,8 @@ class TestEmbedding:
         bumped = base.copy()
         r, c = 9, 7
         bumped[r, c] += 1.0
-        a = model.embed(base[None], model.proj_left, False, None).data[0]
-        b = model.embed(bumped[None], model.proj_left, False, None).data[0]
+        a = model.embed(base[None], model.proj_left, None).data[0]
+        b = model.embed(bumped[None], model.proj_left, None).data[0]
         changed = set(np.nonzero(np.abs(a - b).max(axis=1) > 1e-7)[0])
         grid = model.grid
         covering = {
@@ -244,7 +252,7 @@ class TestForward:
         xl = rng.standard_normal((2, 20, 16))
         xr = rng.standard_normal((2, 20, 16))
         with E.Graph() as g:
-            pred = model.forward(xl, xr, training=True, rng=rng)
+            pred = model.forward(xl, xr, rng=rng)
             loss = E.tmean(E.mul(pred, pred))
         g.backward(loss)
         for p in model.parameters():
@@ -257,7 +265,7 @@ class TestForward:
         xl = rng.standard_normal((2, 20, 16))
         xr = rng.standard_normal((2, 20, 16))
         with E.Graph() as g:
-            pred = model.forward(xl, xr, training=True, rng=rng)
+            pred = model.forward(xl, xr, rng=rng)
             loss = E.tmean(E.mul(pred, pred))
         produced = [node.out for node in g._nodes]
         assert loss in produced and pred in produced
@@ -311,7 +319,7 @@ class TestForward:
         model = BinauralTransformer(cfg.model, seed=0)
         x = np.zeros((2, cfg.model.height, cfg.model.width))
         with E.Graph() as g:
-            pred = model.forward(x, x, training=True, rng=np.random.default_rng(0))
+            pred = model.forward(x, x, rng=np.random.default_rng(0))
             make_loss(cfg.loss)(np.ones((2, 2)), pred)
         assert len(g) == 124
 
@@ -469,6 +477,14 @@ class TestCheckpointing:
         path.write_bytes(data[:14])
         with pytest.raises(CheckpointError, match="truncated header"):
             load_tensors(path)
+
+    @pytest.mark.parametrize("header,match", MALFORMED_HEADERS)
+    def test_malformed_checkpoint_header_rejected(self, tmp_path, header, match):
+        path = tmp_path / "best.ckpt"
+        path.write_bytes(tensor_file_bytes(b"BLTENS1\n", header))
+        with pytest.raises(CheckpointError, match=match) as info:
+            load_tensors(path)
+        assert str(path) in str(info.value)
 
     def test_config_mismatch_rejected(self, tmp_path):
         model = BinauralTransformer(TINY, seed=0)
