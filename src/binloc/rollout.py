@@ -44,14 +44,18 @@ def layer_rollout(attn: np.ndarray) -> np.ndarray:
 
 def rollout_chain(attn_layers: list[np.ndarray],
                   init: np.ndarray | None = None) -> list[np.ndarray]:
-    """Cumulative rollouts R_k = A_k @ R_{k-1} for each layer, R_0 = init or I."""
+    """Cumulative rollouts R_k = A_k @ R_{k-1} for each layer, R_0 = init or I.
+
+    Without ``init`` the chain starts at R_1 = A_1: A_1 @ I is A_1 exactly
+    for finite maps, so the product with I is skipped.
+    """
     if not attn_layers:
         raise RolloutError("attention capture is empty; nothing to roll out")
-    n = attn_layers[0].shape[-1]
-    running = np.eye(n) if init is None else np.asarray(init, dtype=np.float64)
+    running = None if init is None else np.asarray(init, dtype=np.float64)
     chain = []
     for attn in attn_layers:
-        running = layer_rollout(attn) @ running
+        step = layer_rollout(attn)
+        running = step if running is None else step @ running
         chain.append(running)
     return chain
 
@@ -136,13 +140,6 @@ def _upsample_index(n_h: int, n_t: int, height: int, width: int, patch: int,
     return rows, cols
 
 
-def _write_csv(path: Path, cells: np.ndarray) -> None:
-    r"""Write a 2-D array of formatted cells as ``csv.writer`` would: comma
-    separated, ``\r\n`` line ends (no float's repr needs quoting)."""
-    path.write_text("".join(",".join(row) + "\r\n" for row in cells.tolist()),
-                    encoding="utf-8", newline="")
-
-
 def export_heatmap(record: RolloutRecord, meta: dict, out_dir,
                    height: int = 129, width: int = 61, patch: int = 16,
                    stride: int = 6) -> list[Path]:
@@ -151,23 +148,24 @@ def export_heatmap(record: RolloutRecord, meta: dict, out_dir,
     Produces ``rollout_<id>_<ear>.csv`` (patch grid),
     ``rollout_<id>_<ear>_overlay.csv`` (pixel grid), and
     ``rollout_<id>_meta.json``. Values are written as ``repr`` of the float,
-    as ``csv.writer`` writes them; each is formatted once and repeated into
-    the overlay.
+    as ``csv.writer`` writes them, with ``\r\n`` line ends (no float's repr
+    needs quoting). Each value is formatted once, and each overlay line is
+    built once per grid row and repeated by the row index.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sample_id = meta.get("sample_id", "sample")
+    rows, cols = (index.tolist() for index in _upsample_index(
+        *record.grid_shape, height, width, patch, stride))
     written = []
     for ear, grid in record.relevance.items():
-        cells = np.array([repr(v) for v in grid.ravel().tolist()],
-                         dtype=object).reshape(grid.shape)
-        path = out_dir / f"rollout_{sample_id}_{ear}.csv"
-        _write_csv(path, cells)
-        written.append(path)
-        index = _upsample_index(*grid.shape, height, width, patch, stride)
-        opath = out_dir / f"rollout_{sample_id}_{ear}_overlay.csv"
-        _write_csv(opath, cells[np.ix_(*index)])
-        written.append(opath)
+        cells = [[repr(v) for v in row] for row in grid.tolist()]
+        overlay = [",".join([row[c] for c in cols]) + "\r\n" for row in cells]
+        for suffix, text in (("", "".join(",".join(row) + "\r\n" for row in cells)),
+                             ("_overlay", "".join([overlay[r] for r in rows]))):
+            path = out_dir / f"rollout_{sample_id}_{ear}{suffix}.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            written.append(path)
     meta_path = out_dir / f"rollout_{sample_id}_meta.json"
     meta_path.write_text(json.dumps(
         {**meta, "grid_shape": list(record.grid_shape),

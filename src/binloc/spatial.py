@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.io.wavfile
@@ -330,8 +332,7 @@ def read_wav(path) -> Waveform:
     return Waveform(data.T.astype(np.float64) / _WAV_SCALE, rate)
 
 
-@dataclass(frozen=True)
-class ManifestRecord:
+class ManifestRecord(NamedTuple):
     sample_id: str
     source_id: str
     azimuth: int
@@ -356,16 +357,42 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
             }, sort_keys=True) + "\n")
 
 
+# a manifest line's keys, in ManifestRecord's field order
+_RECORD_KEYS = ("id", "source", "azimuth", "env", "split", "path")
+_record_values = operator.itemgetter(*_RECORD_KEYS)
+_DECODER = json.JSONDecoder()
+
+
 def load_manifest(path) -> DatasetManifest:
-    records = []
-    hashes = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
+    """Read a ``manifest.jsonl``: one JSON record per non-blank line.
+
+    Raises ``SpatialError("<path>:<line>: ...")`` at the first line that is
+    not exactly one JSON object with every field, and ``SpatialError``
+    naming the file when the records carry more than one ``config_hash``.
+    """
+    records, hashes = [], set()
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = line.strip()
+        if not line:
             continue
-        row = json.loads(line)
-        records.append(ManifestRecord(row["id"], row["source"], row["azimuth"],
-                                      row["env"], row["split"], row["path"]))
-        hashes.add(row["config_hash"])
+        try:
+            row, end = _DECODER.raw_decode(line)
+        except json.JSONDecodeError as exc:
+            raise SpatialError(f"{path}:{lineno}: not one JSON record "
+                               f"({exc.msg} at column {exc.colno})") from None
+        if end < len(line):
+            raise SpatialError(f"{path}:{lineno}: not one JSON record "
+                               f"(extra data at column {end + 1})")
+        if not isinstance(row, dict):
+            raise SpatialError(f"{path}:{lineno}: expected a JSON object, "
+                               f"got {type(row).__name__}")
+        try:
+            records.append(ManifestRecord._make(_record_values(row)))
+            hashes.add(row["config_hash"])
+        except KeyError:
+            missing = [key for key in _RECORD_KEYS + ("config_hash",) if key not in row]
+            raise SpatialError(f"{path}:{lineno}: record has no "
+                               f"{', '.join(missing)}") from None
     if len(hashes) > 1:
         raise SpatialError(f"{path}: mixed config hashes {sorted(hashes)}")
     return DatasetManifest(records, hashes.pop() if hashes else "")

@@ -168,32 +168,38 @@ def read_tensor_file(path, magic: bytes, what: str, error: type[Exception]
                      ) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a file written by ``write_tensor_file``: (header, name -> array).
 
-    The returned header no longer holds the ``"tensors"`` table. Raises
+    The returned header no longer holds the ``"tensors"`` table. The payload
+    is read once into one aligned, writable float32 array, and each tensor
+    is a view of its own range of it (a copy, when the table's ranges
+    overlap), so no two tensors share memory. Raises
     ``error`` naming ``path`` when the magic is not ``magic`` (the file is
     not a ``what``, or an older layout of one), when the header is cut short,
     unreadable or not a JSON object with a tensor table, when a table entry
     is malformed, or when the payload ends before a tensor does.
     """
-    data = Path(path).read_bytes()
-    start = len(magic) + 4
-    if data[:len(magic)] != magic:
-        raise error(f"{path}: not a {what} (starts with {data[:len(magic)]!r}, "
-                    f"expected {magic!r})")
-    if len(data) < start:
-        raise error(f"{path}: truncated header")
-    (mlen,) = struct.unpack_from("<I", data, len(magic))
-    if len(data) < start + mlen:
-        raise error(f"{path}: truncated header")
-    try:
-        header = json.loads(data[start:start + mlen].decode("utf-8"))
-    except ValueError as exc:
-        raise error(f"{path}: unreadable header ({exc})") from None
-    table = header.pop("tensors", None) if isinstance(header, dict) else None
-    if not isinstance(table, dict):
-        raise error(f"{path}: header is not a JSON object with a tensor table")
-    start += mlen
-    payload = np.frombuffer(data, dtype="<f4", count=(len(data) - start) // 4,
-                            offset=start)
+    with Path(path).open("rb") as fh:
+        head = fh.read(len(magic) + 4)
+        if head[:len(magic)] != magic:
+            raise error(f"{path}: not a {what} (starts with {head[:len(magic)]!r}, "
+                        f"expected {magic!r})")
+        if len(head) < len(magic) + 4:
+            raise error(f"{path}: truncated header")
+        (mlen,) = struct.unpack_from("<I", head, len(magic))
+        raw = fh.read(mlen)
+        if len(raw) < mlen:
+            raise error(f"{path}: truncated header")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise error(f"{path}: unreadable header ({exc})") from None
+        table = header.pop("tensors", None) if isinstance(header, dict) else None
+        if not isinstance(table, dict):
+            raise error(f"{path}: header is not a JSON object with a tensor table")
+        # the payload starts at len(magic) + 4 + mlen, rarely a multiple of 4:
+        # reading it into a fresh array keeps the floats aligned
+        payload = np.empty((os.fstat(fh.fileno()).st_size - fh.tell()) // 4,
+                           dtype="<f4")
+        payload = payload[:fh.readinto(payload) // 4]
     tensors = {}
     for name, entry in table.items():
         try:
@@ -201,10 +207,14 @@ def read_tensor_file(path, magic: bytes, what: str, error: type[Exception]
             if min(begin, count) < 0:  # a negative offset reads from the end
                 raise ValueError("negative offset or count")
             if begin + count <= payload.size:
-                tensors[name] = payload[begin:begin + count].reshape(shape).copy()
+                tensors[name] = payload[begin:begin + count].reshape(shape)
         except (KeyError, TypeError, ValueError) as exc:
             raise error(f"{path}: malformed header entry for {name!r} "
                         f"({type(exc).__name__}: {exc})") from None
         if name not in tensors:
             raise error(f"{path}: truncated payload for {name!r}")
+    # written files never overlap; copy every tensor of one that does
+    spans = sorted((e["offset"], e["offset"] + e["count"]) for e in table.values())
+    if any(begin < end for (_, end), (begin, _) in zip(spans, spans[1:])):
+        tensors = {name: arr.copy() for name, arr in tensors.items()}
     return header, tensors

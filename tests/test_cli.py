@@ -253,6 +253,20 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert "CheckpointError" in err and str(broken / "best.ckpt") in err
 
+    def test_damaged_manifest_names_file_and_line(self, cli_workspace,
+                                                  tmp_path, capsys):
+        data, run = cli_workspace
+        lines = (data / "manifest.jsonl").read_text().splitlines()
+        damaged = tmp_path / "manifest.jsonl"
+        damaged.write_text("\n".join([lines[0], lines[1][:14], *lines[2:]]) + "\n")
+        sample_id = load_manifest(data / "manifest.jsonl").records[0].sample_id
+        for args in (["eval", "--split", "val"], ["rollout", "--sample-id", sample_id]):
+            capsys.readouterr()
+            assert main([*args, "--run", str(run), "--manifest", str(damaged),
+                         "--out", str(tmp_path / args[0])]) == 2
+            err = capsys.readouterr().err
+            assert f"SpatialError: {damaged}:2: not one JSON record" in err
+
     def test_rollout_unknown_sample_is_runtime_error(self, cli_workspace,
                                                      tmp_path):
         data, run = cli_workspace

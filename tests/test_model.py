@@ -467,6 +467,33 @@ class TestCheckpointing:
         np.testing.assert_array_equal(arrays["v"], v)
         np.testing.assert_array_equal(arrays["w"], w)
 
+    def test_loaded_tensors_are_aligned_writable_and_separate(self, tmp_path):
+        rng = np.random.default_rng(4)
+        saved = {"w": rng.standard_normal((3, 5)), "v": rng.standard_normal(7),
+                 "b": rng.standard_normal((2, 2, 2))}
+        path = tmp_path / "model.ckpt"
+        save_tensors(path, saved, config_hash="h")
+        (head_len,) = struct.unpack_from("<I", path.read_bytes(), 8)
+        assert (12 + head_len) % 4 != 0  # the payload starts unaligned on disk
+        arrays, _ = load_tensors(path)
+        for name, arr in arrays.items():
+            assert arr.flags.aligned and arr.flags.writeable, name
+            assert arr.dtype == np.float32
+            assert np.array_equal(arr, saved[name].astype(np.float32)), name
+        arrays["v"][:] = 0.0
+        assert np.array_equal(arrays["w"], saved["w"].astype(np.float32))
+        assert np.array_equal(arrays["b"], saved["b"].astype(np.float32))
+
+    def test_overlapping_entries_load_as_separate_arrays(self, tmp_path):
+        path = tmp_path / "best.ckpt"
+        header = {"tensors": {"a": {"shape": [3], "offset": 0, "count": 3},
+                              "b": {"shape": [2], "offset": 1, "count": 2}}}
+        payload = np.arange(4, dtype="<f4")
+        path.write_bytes(tensor_file_bytes(b"BLTENS1\n", header, payload.tobytes()))
+        arrays, _ = load_tensors(path)
+        arrays["a"][:] = -1.0
+        assert np.array_equal(arrays["b"], payload[1:3])
+
     def test_truncated_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "best.ckpt"
         save_tensors(path, {"w": np.ones(3), "v": np.ones(4)})

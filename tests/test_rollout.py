@@ -60,14 +60,15 @@ class TestLayerRollout:
     def test_matches_explicit_product_oracle(self):
         rng = np.random.default_rng(1)
         layers = _random_attention(rng, 4, 3, 7)
-        chain = rollout_chain(layers)
-        running = np.eye(7, dtype=np.float64)
-        for attn, rolled in zip(layers, chain):
-            mean = np.asarray(attn, dtype=np.float64).mean(axis=0)
-            aug = mean + np.eye(7)
-            aug = aug / aug.sum(axis=1, keepdims=True)
-            running = aug @ running
-            np.testing.assert_allclose(rolled, running, atol=1e-6)
+        for init in (None, rng.random((7, 7))):
+            chain = rollout_chain(layers, init=init)
+            running = np.eye(7, dtype=np.float64) if init is None else init
+            for attn, rolled in zip(layers, chain):
+                mean = np.asarray(attn, dtype=np.float64).mean(axis=0)
+                aug = mean + np.eye(7)
+                aug = aug / aug.sum(axis=1, keepdims=True)
+                running = aug @ running
+                assert np.array_equal(rolled, running)
 
 
 class TestModelRollout:
@@ -175,9 +176,10 @@ class TestExport:
         assert meta_loaded["overlay_shape"] == [20, 16]
 
 
-    @pytest.mark.parametrize("stride", [12, 6])
+    @pytest.mark.parametrize("stride", [24, 12, 6])
     def test_csv_bytes_match_csv_writer(self, tmp_path, stride):
-        # the desk (stride 12) and the stride-6 patch grids of a 129 x 61 input
+        # the 6 x 3 (stride 24), desk (stride 12) and stride-6 patch grids of
+        # a 129 x 61 input
         grid = patch_counts(129, 61, 16, stride)
         rng = np.random.default_rng(stride)
         record = RolloutRecord(grid_shape=(grid.n_h, grid.n_t))

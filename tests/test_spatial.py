@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import math
 from collections import Counter
 
@@ -355,6 +356,47 @@ class TestBuildDataset:
         loaded = S.load_manifest(tmp_path / "manifest.jsonl")
         assert loaded.records == manifest.records
         assert loaded.config_hash == manifest.config_hash
+        assert S.ManifestRecord._fields == ("sample_id", "source_id", "azimuth",
+                                            "environment", "split", "path")
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        manifest = S.build_dataset(self._sources(2), (0, 10), {"AE": AE}, 0.5, 3,
+                                   tmp_path)
+        path = tmp_path / "manifest.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n" + "\n  \n".join(lines) + "\n\n")
+        assert S.load_manifest(path).records == manifest.records
+
+    _RECORD = {"id": "s0", "source": "src000", "azimuth": 0, "env": "AE",
+               "split": "train", "path": "AE/s0.wav", "config_hash": "h1"}
+
+    @pytest.mark.parametrize("bad,message", [
+        ('{"id": "s1", "sour', "not one JSON record"),
+        (json.dumps(_RECORD) + " " + json.dumps(_RECORD), "not one JSON record"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('"s1"', "expected a JSON object, got str"),
+        (json.dumps({k: v for k, v in _RECORD.items() if k != "path"}),
+         "record has no path"),
+        ("{}", "record has no id, source, azimuth, env, split, path, config_hash"),
+        # the next line closes this one and the last holds two records: read
+        # as one JSON array, the file would have one item per non-blank line
+        (json.dumps(_RECORD)[:-1] + ', "extra": [1', "not one JSON record"),
+    ])
+    def test_bad_line_named_with_file_and_number(self, tmp_path, bad, message):
+        good = json.dumps(self._RECORD)
+        path = tmp_path / "manifest.jsonl"
+        path.write_text("\n".join([good, "", bad, "2]}", f"{good}, {good}"]) + "\n")
+        with pytest.raises(S.SpatialError) as info:
+            S.load_manifest(path)
+        assert str(info.value).startswith(f"{path}:3: {message}")
+
+    def test_mixed_config_hashes_rejected(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        rows = [self._RECORD, {**self._RECORD, "id": "s1", "config_hash": "h2"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(S.SpatialError) as info:
+            S.load_manifest(path)
+        assert str(info.value) == f"{path}: mixed config hashes ['h1', 'h2']"
 
     def test_wav_round_trip(self, tmp_path):
         src = S.make_source("white-noise", seed=4)
