@@ -424,7 +424,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     computes softmax(q k^T / sqrt(dh)) v with a max-shifted softmax whose
     normalizer accumulates in 64-bit, and the heads merge back to (batch, n,
     dim). The batch runs in blocks of ``_ATTENTION_BLOCK_BYTES`` worth of
-    maps, forward and backward, so only one block's logits exist at a time.
+    maps, forward and backward, and each block's softmax (and its backward)
+    runs in place in one preallocated block buffer.
     The probability maps are the only intermediate kept for backward; a
     ``capture`` list receives them as one (batch, heads, n, n) array.
     """
@@ -443,17 +444,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         return a.reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
 
     qs, ks, vs = split(q.data), split(k.data), split(v.data)
-    step = max(1, _ATTENTION_BLOCK_BYTES // (heads * n * n * dtype.itemsize))
-    blocks = [slice(lo, lo + step) for lo in range(0, batch, step)]
+    map_bytes = heads * n * n * dtype.itemsize
+    step = min(batch, max(1, _ATTENTION_BLOCK_BYTES // map_bytes))
+    blocks = [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
     keep = capture is not None or _recording((q, k, v))
     probs = np.empty((batch, heads, n, n), dtype) if keep else None
     out = np.empty((batch, n, dim), dtype)
     ys = split(out)
+    # one block's logits, turned into its softmax in place; a short last
+    # block uses a prefix
+    buf = np.empty((step, heads, n, n), dtype)
     for blk in blocks:
-        logits = (qs[blk] @ np.swapaxes(ks[blk], -1, -2)) * dtype.type(c)
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        e = np.matmul(qs[blk], np.swapaxes(ks[blk], -1, -2),
+                      out=buf[:blk.stop - blk.start])
+        np.multiply(e, dtype.type(c), out=e)
+        np.subtract(e, e.max(axis=-1, keepdims=True), out=e)
+        np.exp(e, out=e)
         denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
-        p = np.divide(e, denom.astype(dtype), out=probs[blk] if keep else None)
+        p = np.divide(e, denom.astype(dtype), out=probs[blk] if keep else e)
         ys[blk] = p @ vs[blk]
     if capture is not None:
         capture.append(probs)
@@ -462,11 +470,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         gy = split(g)
         grads = tuple(np.empty((batch, n, dim), dtype) for _ in range(3))
         gq, gk, gv = (split(a) for a in grads)
+        bufs = np.empty((2, step, heads, n, n), dtype)
         for blk in blocks:
             p = probs[blk]
-            gp = gy[blk] @ np.swapaxes(vs[blk], -1, -2)
+            glogits, product = bufs[:, :blk.stop - blk.start]
+            # glogits = (p * (gp - sum(gp * p))) * c, built up in place from gp
+            np.matmul(gy[blk], np.swapaxes(vs[blk], -1, -2), out=glogits)
             gv[blk] = np.swapaxes(p, -1, -2) @ gy[blk]
-            glogits = (p * (gp - (gp * p).sum(axis=-1, keepdims=True))) * c
+            rowdot = np.multiply(glogits, p, out=product).sum(axis=-1, keepdims=True)
+            np.subtract(glogits, rowdot, out=glogits)
+            np.multiply(p, glogits, out=glogits)
+            np.multiply(glogits, c, out=glogits)
             gq[blk] = glogits @ ks[blk]
             gk[blk] = np.swapaxes(np.swapaxes(qs[blk], -1, -2) @ glogits, -1, -2)
         return grads

@@ -367,10 +367,11 @@ def load_manifest(path) -> DatasetManifest:
     """Read a ``manifest.jsonl``: one JSON record per non-blank line.
 
     Raises ``SpatialError("<path>:<line>: ...")`` at the first line that is
-    not exactly one JSON object with every field, and ``SpatialError``
-    naming the file when the records carry more than one ``config_hash``.
+    not exactly one JSON object with every field or that repeats an earlier
+    line's sample id, and ``SpatialError`` naming the file when the records
+    carry more than one ``config_hash``.
     """
-    records, hashes = [], set()
+    records, hashes, first_line = [], set(), {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line:
@@ -387,12 +388,17 @@ def load_manifest(path) -> DatasetManifest:
             raise SpatialError(f"{path}:{lineno}: expected a JSON object, "
                                f"got {type(row).__name__}")
         try:
-            records.append(ManifestRecord._make(_record_values(row)))
+            record = ManifestRecord._make(_record_values(row))
             hashes.add(row["config_hash"])
         except KeyError:
             missing = [key for key in _RECORD_KEYS + ("config_hash",) if key not in row]
             raise SpatialError(f"{path}:{lineno}: record has no "
                                f"{', '.join(missing)}") from None
+        first = first_line.setdefault(record.sample_id, lineno)
+        if first != lineno:
+            raise SpatialError(f"{path}:{lineno}: sample id {record.sample_id!r} "
+                               f"already on line {first}")
+        records.append(record)
     if len(hashes) > 1:
         raise SpatialError(f"{path}: mixed config hashes {sorted(hashes)}")
     return DatasetManifest(records, hashes.pop() if hashes else "")

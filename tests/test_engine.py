@@ -426,19 +426,32 @@ class TestFusedOps:
         for got, want in zip(grads, ref_grads):
             assert np.array_equal(got, want)
 
-    def test_attention_matches_old_chain_bitwise(self):
+    @staticmethod
+    def _check_attention_against_old_chain(shape, heads, dtype):
         rng = np.random.default_rng(22)
-        q, k, v = (rng.standard_normal((5, 19, 16)).astype(np.float32)
-                   for _ in range(3))
+        q, k, v = (rng.standard_normal(shape).astype(dtype) for _ in range(3))
         capture = []
         out, grads, g = _run_fused(
-            lambda *t: E.attention(*t, heads=4, capture=capture), (q, k, v),
-            (5, 19, 16), 23)
-        ref, ref_maps, ref_grads = _old_attention_chain(q, k, v, 4, g)
-        assert np.array_equal(out, ref)
+            lambda *t: E.attention(*t, heads=heads, capture=capture), (q, k, v),
+            shape, 23)
+        ref, ref_maps, ref_grads = _old_attention_chain(q, k, v, heads,
+                                                        g.astype(dtype))
+        assert out.dtype == dtype and np.array_equal(out, ref)
         assert np.array_equal(capture[0], ref_maps)
         for got, want in zip(grads, ref_grads):
-            assert np.array_equal(got, want)
+            assert got.dtype == dtype and np.array_equal(got, want)
+        # neither capture nor tape: the softmax ends in the block buffer
+        plain = E.attention(E.tensor(q), E.tensor(k), E.tensor(v), heads=heads)
+        assert np.array_equal(plain.data, ref)
+
+    def test_attention_matches_old_chain_bitwise(self, monkeypatch):
+        self._check_attention_against_old_chain((5, 19, 16), 4, np.float32)
+        self._check_attention_against_old_chain((5, 19, 16), 4, np.float64)
+        # a stride-6 rollout: 180 patches at batch 1
+        self._check_attention_against_old_chain((1, 180, 128), 4, np.float32)
+        # blocks of 2 samples: the last block is short
+        monkeypatch.setattr(E, "_ATTENTION_BLOCK_BYTES", 2 * 4 * 19 * 19 * 4)
+        self._check_attention_against_old_chain((5, 19, 16), 4, np.float32)
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(24)

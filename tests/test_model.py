@@ -324,6 +324,64 @@ class TestForward:
         assert len(g) == 124
 
 
+class TestSharedEarBatch:
+    """A shared ear pathway at inference runs both ears as one 2B batch;
+    under a recording tape it runs once per ear. Both give equal bits."""
+
+    @staticmethod
+    def _count_embeds(model, monkeypatch) -> list[int]:
+        """The batch size of every ``model.embed`` call, in call order."""
+        sizes, embed = [], model.embed
+
+        def counted(x, proj, rng):
+            sizes.append(len(x))
+            return embed(x, proj, rng)
+
+        monkeypatch.setattr(model, "embed", counted)
+        return sizes
+
+    @pytest.mark.parametrize("integration", ["concat", "sub", "add"])
+    @pytest.mark.parametrize("stride", [6, 12])
+    def test_matches_per_ear_path_bitwise(self, integration, stride, monkeypatch):
+        cfg = ModelConfig(stride=stride, dim=32, layers=2, heads=2, mlp_dim=32,
+                          dropout=0.0, integration=integration, shared=True)
+        model = BinauralTransformer(cfg, seed=3)
+        embedded = self._count_embeds(model, monkeypatch)
+        rng = np.random.default_rng(stride)
+        for batch in (1, 4, 33):
+            xl, xr = (rng.standard_normal((batch, 129, 61)).astype(np.float32)
+                      for _ in range(2))
+            embedded.clear()
+            pred = model.predict(xl, xr)
+            attn_pred, capture = model.forward_with_attention(xl, xr)
+            assert embedded == [2 * batch, 2 * batch]
+            with E.Graph():
+                ref = model.predict(xl, xr)
+                ref_attn_pred, ref_capture = model.forward_with_attention(xl, xr)
+            assert embedded[2:] == [batch] * 4
+            assert np.array_equal(pred, ref)
+            assert np.array_equal(attn_pred, ref_attn_pred)
+            for part in ("left", "right", "center"):
+                got, want = getattr(capture, part), getattr(ref_capture, part)
+                assert len(got) == len(want) == cfg.layers
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_dropout_rng_keeps_one_pass_per_ear(self, monkeypatch):
+        model = BinauralTransformer(
+            dataclasses.replace(TINY, shared=True, dropout=0.1), seed=0)
+        embedded = self._count_embeds(model, monkeypatch)
+        x = np.zeros((2, 20, 16))
+        model.forward(x, x, rng=np.random.default_rng(0))
+        assert embedded == [2, 2]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_mismatched_ear_batches_name_both_shapes(self, shared):
+        model = BinauralTransformer(dataclasses.replace(TINY, shared=shared), seed=0)
+        with pytest.raises(ConfigError, match=r"\(2, 20, 16\).*\(3, 20, 16\)"):
+            model.predict(np.zeros((2, 20, 16)), np.zeros((3, 20, 16)))
+
+
 class TestParameterBudgets:
     def test_full_scale_counts(self):
         nsp = BinauralTransformer(ModelConfig(integration="sub", shared=False))

@@ -398,6 +398,15 @@ class TestBuildDataset:
             S.load_manifest(path)
         assert str(info.value) == f"{path}: mixed config hashes ['h1', 'h2']"
 
+    def test_repeated_sample_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        rows = [self._RECORD, {**self._RECORD, "id": "s1"},
+                {**self._RECORD, "path": "AE/other.wav"}]
+        path.write_text("\n\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(S.SpatialError) as info:
+            S.load_manifest(path)
+        assert str(info.value) == f"{path}:5: sample id 's0' already on line 1"
+
     def test_wav_round_trip(self, tmp_path):
         src = S.make_source("white-noise", seed=4)
         rendered = S.render_binaural(src, S.LocalizationTarget(30, "AE"), AE)
