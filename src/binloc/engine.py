@@ -3,8 +3,11 @@
 Values live in numpy arrays (float32 by default, float64 supported for
 high-precision checks). Operations executed inside an active ``Graph``
 context are recorded on a tape; ``Graph.backward`` replays the tape in
-reverse, visiting every recorded operation exactly once. Outside a graph,
-ops run as plain numpy computations with no recording overhead.
+reverse, visiting every recorded operation exactly once. A node keeps only
+its backward, whose closure holds the arrays that backward reads, and the
+positions of its inputs on the tape; backward lets go of each node as soon
+as it has run. Outside a graph, ops run as plain numpy computations with no
+recording overhead.
 """
 
 from __future__ import annotations
@@ -73,9 +76,11 @@ class Tensor:
     ``data`` is always a numpy float array. ``Graph.backward`` sets ``grad``
     on leaves only: tensors with ``requires_grad=True`` that no op on the
     tape produced, such as parameters. Op outputs keep ``grad`` None.
+    A recorded output's ``_node`` names its producing node: the tape's
+    token and the node's index on that tape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_node")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  dtype=None):
@@ -88,6 +93,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
+        self._node: tuple[object, int] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,12 +126,15 @@ def parameter(data, name: str | None = None, dtype=None) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "out", "backward")
+    """One recorded op. Each of ``parents`` is the tape index of the node
+    that produced that input, the input itself for a leaf (a parameter, or
+    an output of another tape), or None where no gradient is wanted."""
 
-    def __init__(self, inputs: tuple[Tensor, ...], out: Tensor,
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents: tuple[int | Tensor | None, ...],
                  backward: Callable[[np.ndarray], Iterable[np.ndarray | None]]):
-        self.inputs = inputs
-        self.out = out
+        self.parents = parents
         self.backward = backward
 
 
@@ -140,12 +149,17 @@ class Graph:
 
     Backward walks the tape in reverse execution order, so every recorded
     operation is visited exactly once and a tensor's gradient is complete
-    before its producing operation consumes it. A second ``backward`` on
-    the same graph raises; re-record the forward pass instead.
+    before its producing operation consumes it. Each node, and the
+    gradient of its output, is dropped once its backward has run. A second
+    ``backward`` on the same graph raises; re-record the forward pass
+    instead.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        # outputs name this token, not the graph, so that no output keeps
+        # the tape's saved arrays alive
+        self._token = object()
+        self._nodes: list[_Node | None] = []
         self._consumed = False
 
     def __enter__(self) -> "Graph":
@@ -155,8 +169,18 @@ class Graph:
     def __exit__(self, exc_type, exc, tb) -> None:
         _graph_stack().pop()
 
-    def _record(self, inputs: tuple[Tensor, ...], out: Tensor, backward) -> None:
-        self._nodes.append(_Node(inputs, out, backward))
+    def _parent(self, t: Tensor) -> int | Tensor | None:
+        if not t.requires_grad:
+            return None
+        node = t._node
+        return node[1] if node is not None and node[0] is self._token else t
+
+    def _record(self, inputs: Sequence[Tensor], out_data: np.ndarray,
+                backward) -> Tensor:
+        out = Tensor(out_data, requires_grad=True)
+        out._node = (self._token, len(self._nodes))
+        self._nodes.append(_Node(tuple(map(self._parent, inputs)), backward))
+        return out
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -167,26 +191,36 @@ class Graph:
                 "backward was already run on this graph; record a new forward pass")
         if loss.data.size != 1:
             raise GraphError(f"loss must be scalar, got shape {loss.shape}")
+        if loss._node is None or loss._node[0] is not self._token:
+            raise GraphError(
+                "the loss was not recorded on this graph; compute it inside "
+                "the graph's `with` block")
         self._consumed = True
 
-        # Gradients on their way down, keyed by tensor id. A tensor's entry is
-        # complete, and popped, when the walk reaches the op that produced it;
-        # what is left at the end belongs to leaves (parameters and inputs).
-        pending: dict[int, tuple[Tensor, np.ndarray]] = {
-            id(loss): (loss, np.ones_like(loss.data))}
-        for node in reversed(self._nodes):
-            entry = pending.pop(id(node.out), None)
-            if entry is None:
+        # Gradients of op outputs on their way down, by tape index: an
+        # output's gradient is complete when the walk reaches its node. Leaf
+        # gradients collect by tensor id, in the order they are first reached.
+        nodes = self._nodes
+        grads: list[np.ndarray | None] = [None] * len(nodes)
+        grads[loss._node[1]] = np.ones_like(loss.data)
+        leaves: dict[int, tuple[Tensor, np.ndarray]] = {}
+        for i in range(len(nodes) - 1, -1, -1):
+            node, g = nodes[i], grads[i]
+            nodes[i] = grads[i] = None
+            if g is None:
                 continue  # not on a path to the loss
-            for inp, g in zip(node.inputs, node.backward(entry[1])):
-                if g is None or not inp.requires_grad:
+            for parent, pg in zip(node.parents, node.backward(g)):
+                if pg is None or parent is None:
                     continue
-                prev = pending.get(id(inp))
-                pending[id(inp)] = (inp, g if prev is None else prev[1] + g)
+                if type(parent) is int:
+                    prev = grads[parent]
+                    grads[parent] = pg if prev is None else prev + pg
+                else:
+                    prev = leaves.get(id(parent))
+                    leaves[id(parent)] = (parent, pg if prev is None else prev[1] + pg)
 
-        for leaf, g in pending.values():
-            if leaf.requires_grad:
-                leaf.grad = g if leaf.grad is None else leaf.grad + g
+        for leaf, g in leaves.values():
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def _recording(inputs: Sequence[Tensor]) -> bool:
@@ -195,11 +229,12 @@ def _recording(inputs: Sequence[Tensor]) -> bool:
 
 
 def _record_op(inputs: Sequence[Tensor], out_data: np.ndarray, backward) -> Tensor:
-    needs = _recording(inputs)
-    out = Tensor(out_data, requires_grad=needs)
-    if needs:
-        current_graph()._record(tuple(inputs), out, backward)
-    return out
+    """The op's output, recorded on the active tape when an input needs a
+    gradient. ``backward`` must capture only what it reads: arrays, shapes,
+    dtypes and flags, never an input or output ``Tensor``."""
+    if not _recording(inputs):
+        return Tensor(out_data)
+    return current_graph()._record(inputs, out_data, backward)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -219,28 +254,37 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, sa) if need_a else None,
+                _unbroadcast(g, sb) if need_b else None)
 
     return _record_op((a, b), out, backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, sa) if need_a else None,
+                _unbroadcast(-g, sb) if need_b else None)
 
     return _record_op((a, b), out, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
+    ad, bd = a.data, b.data
+    sa, sb = a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g * bd, sa) if need_a else None
+        gb = _unbroadcast(g * ad, sb) if need_b else None
         return ga, gb
 
     return _record_op((a, b), out, backward)
@@ -294,16 +338,18 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat = np.multiply(centered, inv, out=squares)
     out = _into(np.multiply, xhat, gain.data, centered)
     out = _into(np.add, out, bias.data, out)
+    need_a, need_gain, need_bias = a.requires_grad, gain.requires_grad, bias.requires_grad
+    gain_data = gain.data
 
     def backward(g):
         red = tuple(range(g.ndim - 1))
         scratch = g * xhat
-        ggain = scratch.sum(axis=red) if gain.requires_grad else None
-        gbias = g.sum(axis=red) if bias.requires_grad else None
+        ggain = scratch.sum(axis=red) if need_gain else None
+        gbias = g.sum(axis=red) if need_bias else None
         ga = None
-        if a.requires_grad:
+        if need_a:
             # ga = inv * (gx - m1 - xhat * m2), built up in gx
-            gx = g * gain.data
+            gx = g * gain_data
             m1 = gx.mean(axis=-1, keepdims=True)
             m2 = _into(np.multiply, gx, xhat, scratch).mean(axis=-1, keepdims=True)
             gx = _into(np.subtract, gx, m1, gx)
@@ -341,12 +387,13 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     out = a.data.sum(axis=axis, dtype=np.float64)
     out = out.astype(a.data.dtype)
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.data.dtype),)
+            return (np.broadcast_to(g, shape).astype(dtype),)
         gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).astype(a.data.dtype, copy=False).copy(),)
+        return (np.broadcast_to(gg, shape).astype(dtype, copy=False).copy(),)
 
     return _record_op((a,), out, backward)
 
@@ -355,13 +402,14 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
     out = a.data.mean(axis=axis, dtype=np.float64)
     out = out.astype(a.data.dtype)
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
         if axis is None:
-            gg = np.broadcast_to(g / count, a.shape)
+            gg = np.broadcast_to(g / count, shape)
         else:
-            gg = np.broadcast_to(np.expand_dims(g, axis) / count, a.shape)
-        return (gg.astype(a.data.dtype, copy=False).copy(),)
+            gg = np.broadcast_to(np.expand_dims(g, axis) / count, shape)
+        return (gg.astype(dtype, copy=False).copy(),)
 
     return _record_op((a,), out, backward)
 
@@ -399,12 +447,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     flat = x.data.reshape(-1, x.shape[-1])
     out = flat @ w.data
     out += b.data
+    wd, shape = w.data, x.shape
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
 
     def backward(g):
         g = g.reshape(-1, g.shape[-1])
-        gx = (g @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        gw = flat.T @ g if w.requires_grad else None
-        gb = g.sum(axis=0) if b.requires_grad else None
+        gx = (g @ wd.T).reshape(shape) if need_x else None
+        gw = flat.T @ g if need_w else None
+        gb = g.sum(axis=0) if need_b else None
         return gx, gw, gb
 
     return _record_op((x, w, b), out.reshape(x.shape[:-1] + (w.shape[1],)), backward)

@@ -100,10 +100,11 @@ def ad_loss(target: np.ndarray, pred: E.Tensor,
     dangle = -dcos / np.sqrt(1.0 - clamped * clamped)[:, None]
     grad_local = np.where(live[:, None], dangle, 0.0) / (np.pi * n)
 
-    out_data = np.asarray(value, dtype=pred.data.dtype)
+    dtype = pred.data.dtype
+    out_data = np.asarray(value, dtype=dtype)
 
     def backward(g):
-        return ((g * grad_local).astype(pred.data.dtype),)
+        return ((g * grad_local).astype(dtype),)
 
     return E._record_op((pred,), out_data, backward)
 

@@ -1,6 +1,7 @@
 """Tensor engine: forward contracts and gradient oracles."""
 
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -291,6 +292,87 @@ class TestBackward:
         p = E.parameter([1.0])
         out = E.mul(p, p)
         assert out.requires_grad is False
+
+    def test_loss_from_outside_the_graph_rejected(self):
+        p = E.parameter(np.ones(3))
+        with E.Graph() as g:
+            square = E.mul(p, p)
+        loss = E.tsum(square)  # computed after the block: not on the tape
+        with pytest.raises(E.GraphError, match="not recorded on this graph"):
+            g.backward(loss)
+        assert p.grad is None
+
+    def test_dropped_residual_sum_freed_before_backward(self):
+        # layer_norm's backward reads its xhat, not its input
+        p = E.parameter(np.ones((2, 4)))
+        q = E.parameter(np.arange(8.0).reshape(2, 4))
+        gain, bias = E.parameter(np.ones(4)), E.parameter(np.zeros(4))
+        with E.Graph() as g:
+            x = E.add(p, q)
+            sum_data = weakref.ref(x.data)
+            x = E.layer_norm(x, gain, bias)
+            loss = E.tsum(x)
+        assert sum_data() is None
+        g.backward(loss)
+        assert p.grad is not None and q.grad is not None
+
+    def test_gelu_input_kept_until_backward(self):
+        p = E.parameter(np.linspace(-2.0, 2.0, 8))
+        with E.Graph() as g:
+            x = E.scale(p, 2.0)
+            gelu_in = weakref.ref(x.data)
+            x = E.gelu(x)
+            loss = E.tsum(x)
+        assert gelu_in() is not None
+        g.backward(loss)
+        assert gelu_in() is None
+        assert p.grad is not None
+
+    def test_backward_keeps_node_count_and_still_rejects_a_second_run(self):
+        p = E.parameter(np.ones(3))
+        with E.Graph() as g:
+            x = E.mul(p, p)
+            kept = weakref.ref(x.data)  # mul keeps its factors
+            loss = E.tsum(E.mul(x, x))
+        assert len(g) == 3 and kept() is not None
+        g.backward(loss)
+        assert len(g) == 3 and kept() is x.data
+        del x
+        assert kept() is None
+        with pytest.raises(E.GraphError, match="already run"):
+            g.backward(loss)
+
+    def test_output_of_outer_tape_is_a_leaf_on_inner_tape(self):
+        p = E.parameter([1.0, 2.0])
+        with E.Graph() as outer:
+            y = E.mul(p, p)
+            with E.Graph() as inner:
+                loss = E.tsum(E.scale(y, 3.0))
+        assert len(outer) == 1 and len(inner) == 2
+        inner.backward(loss)
+        np.testing.assert_array_equal(y.grad, np.full(2, 3.0, dtype=np.float32))
+        assert p.grad is None
+
+    def test_output_keeps_no_tape_alive(self):
+        # a tape that never reaches backward is freed with its graph
+        p = E.parameter(np.ones(3))
+        with E.Graph() as g:
+            x = E.scale(p, 2.0)
+            saved = weakref.ref(x.data)
+            loss = E.tsum(E.gelu(x))
+        del x, g
+        assert saved() is None and loss.requires_grad
+
+    def test_add_and_sub_skip_inputs_without_grad(self):
+        p = E.parameter(np.ones((2, 3)))
+        table = E.tensor(np.ones((1, 3)))
+        for op in (E.add, E.sub):
+            for a, b in ((p, table), (table, p)):
+                with E.Graph() as g:
+                    op(a, b)
+                (node,) = g._nodes
+                grads = node.backward(np.ones((2, 3), dtype=np.float32))
+                assert [x is None for x in grads] == [a is table, b is table]
 
 
 @pytest.mark.parametrize("opname", ["add", "sub", "mul", "tmean", "concat",

@@ -259,15 +259,24 @@ class TestForward:
             assert p.grad is not None, p.name
             assert np.any(p.grad != 0), p.name
 
-    def test_backward_sets_grad_on_parameters_only(self):
+    def test_backward_sets_grad_on_parameters_only(self, monkeypatch):
         model = BinauralTransformer(TINY, seed=0)
         rng = np.random.default_rng(8)
         xl = rng.standard_normal((2, 20, 16))
         xr = rng.standard_normal((2, 20, 16))
+        outputs, record_op = [], E._record_op
+
+        def gathered(inputs, out_data, backward):
+            out = record_op(inputs, out_data, backward)
+            outputs.append(out)
+            return out
+
+        monkeypatch.setattr(E, "_record_op", gathered)
         with E.Graph() as g:
             pred = model.forward(xl, xr, rng=rng)
             loss = E.tmean(E.mul(pred, pred))
-        produced = [node.out for node in g._nodes]
+        produced = [t for t in outputs if t.requires_grad]
+        assert len(produced) == len(g)
         assert loss in produced and pred in produced
         g.backward(loss)
         for t in produced:

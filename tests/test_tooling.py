@@ -1,8 +1,16 @@
-"""The benchmark's tracer still finds every name it wraps in binloc."""
+"""The benchmark's tracer still finds every name it wraps in binloc and reads
+the tape as perfbench/run.py expects."""
 
 import importlib
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from binloc import engine as E
+from binloc.config import desk_profile
+from binloc.losses import make_loss
+from binloc.model import BinauralTransformer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,3 +52,22 @@ def test_tracer_installs_and_uninstalls_on_current_modules():
     assert after.keys() == before.keys()
     for key, value in before.items():
         assert after[key] is value, key
+
+
+def test_traced_desk_step_counts_124_tape_nodes():
+    # perfbench/run.py fails a traced run whose train steps record differing
+    # node counts; the tracer reads len(graph) after backward has run
+    tracer = _import_tracing().Tracer()
+    tracer.install()
+    try:
+        cfg = desk_profile()
+        model = BinauralTransformer(cfg.model, seed=0)
+        x = np.zeros((2, cfg.model.height, cfg.model.width))
+        with E.Graph() as g:
+            pred = model.forward(x, x, rng=np.random.default_rng(0))
+            loss = make_loss(cfg.loss)(np.ones((2, 2)), pred)
+        g.backward(loss)
+    finally:
+        tracer.uninstall()
+    assert [n for _, _, n in tracer.samples["engine.tape_nodes"]] == [124]
+    assert all(p.grad is not None for p in model.parameters())
