@@ -12,8 +12,9 @@ import platform
 import sys
 from pathlib import Path
 
-from .config import PROFILES, ExperimentConfig
+from .config import ENV_FILTERS, PROFILES, ExperimentConfig
 from .data import load_samples
+from .losses import LOSS_KINDS
 from .metrics import (
     StatsError,
     evaluate,
@@ -23,7 +24,7 @@ from .metrics import (
     write_overall,
     write_per_azimuth,
 )
-from .model import BinauralTransformer
+from .model import INTEGRATIONS, BinauralTransformer
 from .rollout import bast_rollout, export_heatmap
 from .spatial import (
     AZIMUTH_GRID,
@@ -82,10 +83,10 @@ def _usage(message: str) -> SystemExit:
 def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     p.add_argument("--config", help="key=value experiment config file")
-    p.add_argument("--loss", dest="loss_kind", choices=("mse", "ad", "hybrid"))
+    p.add_argument("--loss", dest="loss_kind", choices=LOSS_KINDS)
     p.add_argument("--alpha", dest="loss_alpha", type=float,
                    help="hybrid weight on the angular term")
-    p.add_argument("--integration", choices=("concat", "add", "sub"))
+    p.add_argument("--integration", choices=INTEGRATIONS)
     shared = p.add_mutually_exclusive_group()
     shared.add_argument("--shared", dest="shared", action="store_true",
                         default=None, help="share the two ear pathways")
@@ -94,8 +95,7 @@ def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--batch", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--env-filter", dest="env_filter",
-                   choices=("AE", "RV", "AE+RV"))
+    p.add_argument("--env-filter", dest="env_filter", choices=ENV_FILTERS)
     p.add_argument("--early-stop-ad", dest="early_stop_train_ad", type=float,
                    help="stop once training angular error drops below this")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -152,7 +152,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("inspect-params", help="print the trainable budget")
     p.add_argument("--profile", choices=sorted(PROFILES), default="full")
-    p.add_argument("--integration", choices=("concat", "add", "sub"))
+    p.add_argument("--integration", choices=INTEGRATIONS)
     shared = p.add_mutually_exclusive_group()
     shared.add_argument("--shared", dest="shared", action="store_true",
                         default=None)

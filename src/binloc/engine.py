@@ -3,18 +3,18 @@
 Values live in numpy arrays (float32 by default, float64 supported for
 high-precision checks). Operations executed inside an active ``Graph``
 context are recorded on a tape; ``Graph.backward`` replays the tape in
-reverse, visiting every recorded operation exactly once. A node keeps only
-its backward, whose closure holds the arrays that backward reads, and the
-positions of its inputs on the tape; backward lets go of each node as soon
-as it has run. Outside a graph, ops run as plain numpy computations with no
-recording overhead.
+reverse, visiting every recorded operation exactly once. A tape node is a
+``(parents, backward)`` pair: the tape positions of its inputs and a closure
+holding the arrays that backward reads; backward lets go of each node as
+soon as it has run. Outside a graph, ops run as plain numpy computations
+with no recording overhead.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -54,20 +54,19 @@ class ParameterError(ValueError):
     """An operation argument is outside its legal range."""
 
 
-_local = threading.local()
+class _Local(threading.local):
+    """Per-thread state: the stack of graphs open on this thread."""
+
+    def __init__(self):
+        self.graphs: list[Graph] = []
 
 
-def _graph_stack() -> list["Graph"]:
-    stack = getattr(_local, "graphs", None)
-    if stack is None:
-        stack = []
-        _local.graphs = stack
-    return stack
+_local = _Local()
 
 
 def current_graph() -> "Graph | None":
-    stack = _graph_stack()
-    return stack[-1] if stack else None
+    graphs = _local.graphs
+    return graphs[-1] if graphs else None
 
 
 class Tensor:
@@ -125,19 +124,6 @@ def parameter(data, name: str | None = None, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=True, name=name, dtype=dtype)
 
 
-class _Node:
-    """One recorded op. Each of ``parents`` is the tape index of the node
-    that produced that input, the input itself for a leaf (a parameter, or
-    an output of another tape), or None where no gradient is wanted."""
-
-    __slots__ = ("parents", "backward")
-
-    def __init__(self, parents: tuple[int | Tensor | None, ...],
-                 backward: Callable[[np.ndarray], Iterable[np.ndarray | None]]):
-        self.parents = parents
-        self.backward = backward
-
-
 class Graph:
     """Recording tape for one forward pass.
 
@@ -159,15 +145,19 @@ class Graph:
         # outputs name this token, not the graph, so that no output keeps
         # the tape's saved arrays alive
         self._token = object()
-        self._nodes: list[_Node | None] = []
+        # one (parents, backward) pair per recorded op; each parent is the
+        # tape index of the node that produced that input, the input itself
+        # for a leaf (a parameter, or an output of another tape), or None
+        # where no gradient is wanted
+        self._nodes: list[tuple | None] = []
         self._consumed = False
 
     def __enter__(self) -> "Graph":
-        _graph_stack().append(self)
+        _local.graphs.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _graph_stack().pop()
+        _local.graphs.pop()
 
     def _parent(self, t: Tensor) -> int | Tensor | None:
         if not t.requires_grad:
@@ -179,7 +169,7 @@ class Graph:
                 backward) -> Tensor:
         out = Tensor(out_data, requires_grad=True)
         out._node = (self._token, len(self._nodes))
-        self._nodes.append(_Node(tuple(map(self._parent, inputs)), backward))
+        self._nodes.append((tuple(map(self._parent, inputs)), backward))
         return out
 
     def __len__(self) -> int:
@@ -209,7 +199,8 @@ class Graph:
             nodes[i] = grads[i] = None
             if g is None:
                 continue  # not on a path to the loss
-            for parent, pg in zip(node.parents, node.backward(g)):
+            parents, backward = node
+            for parent, pg in zip(parents, backward(g)):
                 if pg is None or parent is None:
                     continue
                 if type(parent) is int:
@@ -223,18 +214,21 @@ class Graph:
             leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
-def _recording(inputs: Sequence[Tensor]) -> bool:
-    """Whether an op on ``inputs`` would be recorded on the active tape."""
-    return current_graph() is not None and any(t.requires_grad for t in inputs)
+def _recording(inputs: Sequence[Tensor]) -> "Graph | None":
+    """The graph an op on ``inputs`` records on: the active one, when an
+    input needs a gradient, else None."""
+    graphs = _local.graphs
+    return graphs[-1] if graphs and any(t.requires_grad for t in inputs) else None
 
 
 def _record_op(inputs: Sequence[Tensor], out_data: np.ndarray, backward) -> Tensor:
     """The op's output, recorded on the active tape when an input needs a
     gradient. ``backward`` must capture only what it reads: arrays, shapes,
     dtypes and flags, never an input or output ``Tensor``."""
-    if not _recording(inputs):
+    graph = _recording(inputs)
+    if graph is None:
         return Tensor(out_data)
-    return current_graph()._record(inputs, out_data, backward)
+    return graph._record(inputs, out_data, backward)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -252,28 +246,27 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise arithmetic
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
+def _add_or_sub(a: Tensor, b: Tensor, ufunc) -> Tensor:
+    """``ufunc(a, b)`` for ``np.add`` or ``np.subtract``; b's gradient is
+    negated for the difference."""
+    out = ufunc(a.data, b.data)
     sa, sb = a.shape, b.shape
     need_a, need_b = a.requires_grad, b.requires_grad
+    negate = ufunc is np.subtract
 
     def backward(g):
         return (_unbroadcast(g, sa) if need_a else None,
-                _unbroadcast(g, sb) if need_b else None)
+                _unbroadcast(-g if negate else g, sb) if need_b else None)
 
     return _record_op((a, b), out, backward)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _add_or_sub(a, b, np.add)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    sa, sb = a.shape, b.shape
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def backward(g):
-        return (_unbroadcast(g, sa) if need_a else None,
-                _unbroadcast(-g, sb) if need_b else None)
-
-    return _record_op((a, b), out, backward)
+    return _add_or_sub(a, b, np.subtract)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -384,34 +377,32 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 # reductions and shape ops
 
 
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+def _sum_or_mean(a: Tensor, axis: int | None, mean: bool) -> Tensor:
+    """The float64 sum of ``a`` over ``axis`` (every axis for None), divided
+    by the count of summed elements when ``mean``, cast back to ``a``'s
+    dtype. This is numpy's own ``mean``, without its Python wrapper."""
+    count = a.data.size if axis is None else a.data.shape[axis]
     out = a.data.sum(axis=axis, dtype=np.float64)
-    out = out.astype(a.data.dtype)
+    if mean:
+        out = out / count
     shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).astype(dtype),)
-        gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).astype(dtype, copy=False).copy(),)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        if mean:
+            g = g / count
+        return (np.broadcast_to(g, shape).astype(dtype, copy=False).copy(),)
 
-    return _record_op((a,), out, backward)
+    return _record_op((a,), out.astype(dtype), backward)
+
+
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+    return _sum_or_mean(a, axis, mean=False)
 
 
 def tmean(a: Tensor, axis: int | None = None) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    out = a.data.mean(axis=axis, dtype=np.float64)
-    out = out.astype(a.data.dtype)
-    shape, dtype = a.shape, a.dtype
-
-    def backward(g):
-        if axis is None:
-            gg = np.broadcast_to(g / count, shape)
-        else:
-            gg = np.broadcast_to(np.expand_dims(g, axis) / count, shape)
-        return (gg.astype(dtype, copy=False).copy(),)
-
-    return _record_op((a,), out, backward)
+    return _sum_or_mean(a, axis, mean=True)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
@@ -497,7 +488,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     map_bytes = heads * n * n * dtype.itemsize
     step = min(batch, max(1, _ATTENTION_BLOCK_BYTES // map_bytes))
     blocks = [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
-    keep = capture is not None or _recording((q, k, v))
+    keep = capture is not None or _recording((q, k, v)) is not None
     probs = np.empty((batch, heads, n, n), dtype) if keep else None
     out = np.empty((batch, n, dim), dtype)
     ys = split(out)

@@ -19,6 +19,7 @@ __all__ = ["LossConfig", "LossError", "mse_loss", "ad_loss", "hybrid_loss",
 
 COS_CLAMP = 1e-7      # keeps arccos gradients finite at +-1
 DEGENERATE_NORM = 1e-8  # below this a prediction is treated as the origin
+LOSS_KINDS = ("mse", "ad", "hybrid")
 
 
 class LossError(ValueError):
@@ -34,8 +35,9 @@ class LossConfig:
     epsilon: float = COS_CLAMP
 
     def __post_init__(self):
-        if self.kind not in ("mse", "ad", "hybrid"):
-            raise LossError(f"loss kind must be mse|ad|hybrid, got {self.kind!r}")
+        if self.kind not in LOSS_KINDS:
+            raise LossError(
+                f"loss kind must be {'|'.join(LOSS_KINDS)}, got {self.kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise LossError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.epsilon <= 0:

@@ -212,53 +212,46 @@ def environment_transfer(models: dict[str, object],
 # CSV / JSON emission
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+def _write_table(out_dir, stem: str, header: list[str], rows, payload,
+                 preamble: str = "") -> None:
+    """``<stem>.csv`` (``preamble``, then ``header`` and ``rows``) and
+    ``<stem>.json`` (``payload``, indented, keys sorted) in ``out_dir``."""
+    out_dir = Path(out_dir)
+    with open(out_dir / f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
+        fh.write(preamble)
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    (out_dir / f"{stem}.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_overall(out_dir, aggregates: dict[str, float], label: str = "") -> None:
-    out_dir = Path(out_dir)
-    with open(out_dir / "overall.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label", "ad_deg", "mse"])
-        w.writerow([label, f"{aggregates['ad_deg']:.6f}", f"{aggregates['mse']:.6f}"])
-    _write_json(out_dir / "overall.json", {"label": label, **aggregates})
+    _write_table(out_dir, "overall", ["label", "ad_deg", "mse"],
+                 [[label, f"{aggregates['ad_deg']:.6f}", f"{aggregates['mse']:.6f}"]],
+                 {"label": label, **aggregates})
 
 
 def write_per_azimuth(out_dir, table: list[tuple[int, float | None]]) -> None:
-    out_dir = Path(out_dir)
-    with open(out_dir / "per_azimuth.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["azimuth_deg", "ad_deg"])
-        for az, value in table:
-            w.writerow([az, "" if value is None else f"{value:.6f}"])
-    _write_json(out_dir / "per_azimuth.json",
-                {"metric": "ad_deg", "table": [
-                    {"azimuth_deg": az, "value": value} for az, value in table]})
+    _write_table(out_dir, "per_azimuth", ["azimuth_deg", "ad_deg"],
+                 [[az, "" if value is None else f"{value:.6f}"] for az, value in table],
+                 {"metric": "ad_deg", "table": [
+                     {"azimuth_deg": az, "value": value} for az, value in table]})
 
 
 def write_hemifield(out_dir, report: HemifieldReport) -> None:
-    out_dir = Path(out_dir)
-    with open(out_dir / "hemifield.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# fdr_family: {report.family}; alpha={FDR_ALPHA}\n")
-        w = csv.writer(fh)
-        w.writerow(["label", "metric", "n_pairs", "t_stat", "p_raw", "p_adj",
-                    "significant"])
-        for c in report.comparisons:
-            w.writerow([c.label, c.metric, len(c.pairs), f"{c.t_stat:.6g}",
-                        f"{c.p_raw:.6g}", f"{c.p_adj:.6g}", c.significant])
-    _write_json(out_dir / "hemifield.json",
-                {"family": report.family, "alpha": FDR_ALPHA,
-                 "comparisons": [asdict(c) for c in report.comparisons]})
+    _write_table(
+        out_dir, "hemifield",
+        ["label", "metric", "n_pairs", "t_stat", "p_raw", "p_adj", "significant"],
+        [[c.label, c.metric, len(c.pairs), f"{c.t_stat:.6g}", f"{c.p_raw:.6g}",
+          f"{c.p_adj:.6g}", c.significant] for c in report.comparisons],
+        {"family": report.family, "alpha": FDR_ALPHA,
+         "comparisons": [asdict(c) for c in report.comparisons]},
+        preamble=f"# fdr_family: {report.family}; alpha={FDR_ALPHA}\n")
 
 
 def write_env_transfer(out_dir, rows: list[dict[str, object]]) -> None:
-    out_dir = Path(out_dir)
-    with open(out_dir / "env_transfer.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["train_env", "test_env", "ad_deg", "mse"])
-        for row in rows:
-            w.writerow([row["train_env"], row["test_env"],
-                        f"{row['ad_deg']:.6f}", f"{row['mse']:.6f}"])
-    _write_json(out_dir / "env_transfer.json", rows)
+    _write_table(out_dir, "env_transfer", ["train_env", "test_env", "ad_deg", "mse"],
+                 [[row["train_env"], row["test_env"], f"{row['ad_deg']:.6f}",
+                   f"{row['mse']:.6f}"] for row in rows],
+                 rows)

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from . import engine as E
-from .config import ExperimentConfig
+from .config import ENV_FILTERS, ExperimentConfig
 from .data import Sample, batches, load_samples
-from .losses import angular_errors_deg, make_loss
+from .losses import LOSS_KINDS, angular_errors_deg, make_loss
 from .metrics import (
     StatsError,
     environment_transfer,
@@ -22,14 +22,14 @@ from .metrics import (
     write_env_transfer,
     write_hemifield,
 )
-from .model import BinauralTransformer
+from .model import INTEGRATIONS, BinauralTransformer
 from .optim import AdamState, OptimizerError, adam_step, cosine_lr, zero_grads
 
 __all__ = ["TrainResult", "TrainingDiverged", "train", "run_grid",
            "run_env_transfer", "load_run"]
 
-GRID_LOSSES = ("mse", "ad", "hybrid")
-GRID_INTEGRATIONS = ("concat", "add", "sub")
+GRID_LOSSES = LOSS_KINDS
+GRID_INTEGRATIONS = INTEGRATIONS
 GRID_SHARINGS = (False, True)
 MISSING_MSE = "—"  # AD-trained cells have no meaningful MSE column
 
@@ -305,14 +305,14 @@ def run_env_transfer(base: ExperimentConfig, manifest_path, out_dir
 
     pool = {}
     models = {}
-    for env_filter in ("AE", "RV", "AE+RV"):
+    for env_filter in ENV_FILTERS:
         cfg = base.override(env_filter=env_filter)
         result = train(cfg, manifest_path, out_dir / f"train_{env_filter}", pool)
         models[env_filter] = result.model
 
     held_out = _held_out(manifest_path, base.frontend, pool)
     test_splits = {env: [s for s in held_out if s.environment == env]
-                   for env in ("AE", "RV")}
+                   for env in ENV_FILTERS if "+" not in env}
     rows = environment_transfer(models, test_splits)
     write_env_transfer(out_dir, rows)
     return rows

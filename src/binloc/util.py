@@ -170,12 +170,12 @@ def read_tensor_file(path, magic: bytes, what: str, error: type[Exception]
 
     The returned header no longer holds the ``"tensors"`` table. The payload
     is read once into one aligned, writable float32 array, and each tensor
-    is a view of its own range of it (a copy, when the table's ranges
-    overlap), so no two tensors share memory. Raises
+    is a view of its own range of it, so no two tensors share memory. Raises
     ``error`` naming ``path`` when the magic is not ``magic`` (the file is
     not a ``what``, or an older layout of one), when the header is cut short,
     unreadable or not a JSON object with a tensor table, when a table entry
-    is malformed, or when the payload ends before a tensor does.
+    is malformed, when the payload ends before a tensor does, or when two
+    tensors' ranges overlap.
     """
     with Path(path).open("rb") as fh:
         head = fh.read(len(magic) + 4)
@@ -213,8 +213,9 @@ def read_tensor_file(path, magic: bytes, what: str, error: type[Exception]
                         f"({type(exc).__name__}: {exc})") from None
         if name not in tensors:
             raise error(f"{path}: truncated payload for {name!r}")
-    # written files never overlap; copy every tensor of one that does
-    spans = sorted((e["offset"], e["offset"] + e["count"]) for e in table.values())
-    if any(begin < end for (_, end), (begin, _) in zip(spans, spans[1:])):
-        tensors = {name: arr.copy() for name, arr in tensors.items()}
+    spans = sorted((e["offset"], e["offset"] + e["count"], name)
+                   for name, e in table.items())
+    for (_, end, name), (begin, _, other) in zip(spans, spans[1:]):
+        if begin < end:
+            raise error(f"{path}: ranges of {name!r} and {other!r} overlap")
     return header, tensors

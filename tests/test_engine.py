@@ -1,6 +1,7 @@
 """Tensor engine: forward contracts and gradient oracles."""
 
 import math
+import threading
 import weakref
 import zlib
 
@@ -370,9 +371,53 @@ class TestBackward:
             for a, b in ((p, table), (table, p)):
                 with E.Graph() as g:
                     op(a, b)
-                (node,) = g._nodes
-                grads = node.backward(np.ones((2, 3), dtype=np.float32))
+                ((_parents, backward),) = g._nodes
+                grads = backward(np.ones((2, 3), dtype=np.float32))
                 assert [x is None for x in grads] == [a is table, b is table]
+
+    def test_tape_is_per_thread(self):
+        p = E.parameter(np.ones(3))
+        worker_tapes = []
+
+        def worker():
+            E.scale(p, 2.0)  # the main thread's graph is not this thread's
+            with E.Graph() as g:
+                E.scale(p, 3.0)
+                E.scale(p, 4.0)
+            worker_tapes.append(len(g))
+
+        with E.Graph() as g:
+            E.scale(p, 1.0)
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(g) == 1
+        assert worker_tapes == [2]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [None, 0, 1, -1])
+@pytest.mark.parametrize("mean", [False, True])
+def test_sum_and_mean_match_numpy_bitwise(dtype, axis, mean):
+    # numpy's reduction in float64, cast back; backward spreads the upstream
+    # gradient over the reduced axis, divided by the count for the mean
+    rng = np.random.default_rng(11)
+    x = E.parameter(rng.standard_normal((5, 7, 3)), dtype=dtype)
+    op, reference = (E.tmean, np.mean) if mean else (E.tsum, np.sum)
+    with E.Graph() as g:
+        out = op(x, axis=axis)
+    expected = reference(x.data, axis=axis, dtype=np.float64).astype(dtype)
+    assert out.dtype == dtype and np.array_equal(out.data, expected)
+
+    upstream = rng.standard_normal(out.shape).astype(dtype)
+    ((_parents, backward),) = g._nodes
+    (grad,) = backward(upstream)
+    spread = upstream if axis is None else np.expand_dims(upstream, axis)
+    if mean:
+        spread = spread / (x.size if axis is None else x.shape[axis])
+    expected = np.broadcast_to(spread, x.shape)
+    assert grad.dtype == dtype and np.array_equal(grad, expected)
 
 
 @pytest.mark.parametrize("opname", ["add", "sub", "mul", "tmean", "concat",

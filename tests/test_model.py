@@ -15,6 +15,7 @@ from binloc import model as model_module
 from binloc import util
 from binloc.checkpoint import CheckpointError, load_tensors, save_tensors
 from binloc.config import desk_profile
+from binloc.frontend import FrontendConfig, FrontendError, load_spectrogram_cache
 from binloc.losses import make_loss
 from binloc.model import (
     BinauralTransformer,
@@ -551,15 +552,20 @@ class TestCheckpointing:
         assert np.array_equal(arrays["w"], saved["w"].astype(np.float32))
         assert np.array_equal(arrays["b"], saved["b"].astype(np.float32))
 
-    def test_overlapping_entries_load_as_separate_arrays(self, tmp_path):
-        path = tmp_path / "best.ckpt"
+    def test_overlapping_ranges_rejected(self, tmp_path):
+        # write_tensor_file never lays two tensors over one range, so a
+        # table that does is damaged: both loaders name the file
         header = {"tensors": {"a": {"shape": [3], "offset": 0, "count": 3},
                               "b": {"shape": [2], "offset": 1, "count": 2}}}
-        payload = np.arange(4, dtype="<f4")
-        path.write_bytes(tensor_file_bytes(b"BLTENS1\n", header, payload.tobytes()))
-        arrays, _ = load_tensors(path)
-        arrays["a"][:] = -1.0
-        assert np.array_equal(arrays["b"], payload[1:3])
+        loaders = ((b"BLTENS1\n", load_tensors, CheckpointError),
+                   (b"BLSPEC2\n", lambda path: load_spectrogram_cache(
+                       path, FrontendConfig()), FrontendError))
+        for magic, load, error in loaders:
+            path = tmp_path / "tensors.bin"
+            path.write_bytes(tensor_file_bytes(magic, header))
+            with pytest.raises(error, match="'a' and 'b' overlap") as info:
+                load(path)
+            assert str(path) in str(info.value)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "best.ckpt"

@@ -2,6 +2,7 @@
 the tape as perfbench/run.py expects."""
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -71,3 +72,12 @@ def test_traced_desk_step_counts_124_tape_nodes():
         tracer.uninstall()
     assert [n for _, _, n in tracer.samples["engine.tape_nodes"]] == [124]
     assert all(p.grad is not None for p in model.parameters())
+    # engine.op_ms counts each op's own span, so no op may run inside another
+    ops = {f"engine.{name}" for name in E.__all__
+           if inspect.isfunction(getattr(E, name))}
+    spans = tracer.spans
+    op_spans = [s for s in spans if s[0] in ops]
+    assert op_spans
+    nested = [(s[0], spans[s[3]][0]) for s in op_spans
+              if s[3] >= 0 and spans[s[3]][0].startswith("engine.")]
+    assert nested == []
