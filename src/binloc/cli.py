@@ -12,7 +12,7 @@ import platform
 import sys
 from pathlib import Path
 
-from .config import ENV_FILTERS, PROFILES, ExperimentConfig
+from .config import ENV_FILTERS, ENVIRONMENTS, PROFILES, ExperimentConfig
 from .data import load_samples
 from .losses import LOSS_KINDS
 from .metrics import (
@@ -117,7 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sources", type=int, default=4,
                    help="train/val pool size per azimuth")
     p.add_argument("--test-sources", type=int, default=0)
-    p.add_argument("--envs", default="AE,RV")
+    p.add_argument("--envs", default=",".join(ENVIRONMENTS))
     p.add_argument("--ratio", type=float, default=0.75)
 
     p = sub.add_parser("train", help="train one model")
@@ -182,15 +182,13 @@ def _cmd_gen_data(args) -> int:
         raise _usage(f"--test-sources must be >= 0, got {args.test_sources}")
     if not 0.0 < args.ratio < 1.0:
         raise _usage(f"--ratio must be in (0, 1), got {args.ratio}")
-    envs = tuple(args.envs.split(","))
+    scene_of = dict(zip(ENVIRONMENTS, (anechoic_scene, reverberant_scene)))
     scenes = {}
-    for env in envs:
-        if env == "AE":
-            scenes[env] = anechoic_scene()
-        elif env == "RV":
-            scenes[env] = reverberant_scene()
-        else:
-            raise _usage(f"unknown environment {env!r}; use AE and/or RV")
+    for env in args.envs.split(","):
+        if env not in scene_of:
+            raise _usage(f"unknown environment {env!r}; use "
+                         f"{' and/or '.join(ENVIRONMENTS)}")
+        scenes[env] = scene_of[env]()
     kinds = list(SOURCE_KINDS)
     sources = {f"src{i:03d}": make_source(kinds[i % len(kinds)],
                                           seed=args.seed * 10_000 + i)

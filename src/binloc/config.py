@@ -11,7 +11,10 @@ from .util import config_hash, from_kv, read_kv, to_kv, write_kv
 
 __all__ = ["ExperimentConfig", "desk_profile", "full_profile", "PROFILES"]
 
-ENV_FILTERS = ("AE", "RV", "AE+RV")
+# the two rendered environments, anechoic and reverberant; a run trains on
+# one of them or on both
+ENVIRONMENTS = ("AE", "RV")
+ENV_FILTERS = ENVIRONMENTS + ("+".join(ENVIRONMENTS),)
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class ExperimentConfig:
 
     @property
     def environments(self) -> tuple[str, ...]:
-        return ("AE", "RV") if self.env_filter == "AE+RV" else (self.env_filter,)
+        return tuple(self.env_filter.split("+"))
 
     def hash(self) -> str:
         return config_hash(to_kv(self))

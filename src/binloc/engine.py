@@ -290,17 +290,24 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact Gaussian-error-linear unit: 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    A recorded call keeps only its local derivative ``cdf + x * pdf``,
+    built in one array, and neither ``x`` nor ``cdf``.
+    """
     x = a.data
     half = x.dtype.type(0.5)
     cdf = half * (x.dtype.type(1.0) + erf(x * x.dtype.type(0.7071067811865476)))
     out = x * cdf
-
-    def backward(g):
-        pdf = np.exp(-half * x * x) * x.dtype.type(0.3989422804014327)
-        return (g * (cdf + x * pdf),)
-
-    return _record_op((a,), out, backward)
+    d = None
+    if _recording((a,)) is not None:
+        d = np.multiply(-half, x)
+        np.multiply(d, x, out=d)
+        np.exp(d, out=d)
+        np.multiply(d, x.dtype.type(0.3989422804014327), out=d)
+        np.multiply(d, x, out=d)
+        np.add(d, cdf, out=d)
+    return _record_op((a,), out, lambda g: (g * d,))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +474,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     dim). The batch runs in blocks of ``_ATTENTION_BLOCK_BYTES`` worth of
     maps, forward and backward, and each block's softmax (and its backward)
     runs in place in one preallocated block buffer.
-    The probability maps are the only intermediate kept for backward; a
-    ``capture`` list receives them as one (batch, heads, n, n) array.
+    No (batch, heads, n, n) array is kept for backward: besides q, k and v
+    the tape keeps each row's max and normalizer, (batch, heads, n, 1)
+    each, and backward rebuilds a block's probability maps from them with
+    the forward's own operations, so they are bit-equal to the forward's.
+    A ``capture`` list receives the maps as one (batch, heads, n, n) array.
     """
     if q.data.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(
@@ -488,21 +498,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     map_bytes = heads * n * n * dtype.itemsize
     step = min(batch, max(1, _ATTENTION_BLOCK_BYTES // map_bytes))
     blocks = [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
-    keep = capture is not None or _recording((q, k, v)) is not None
-    probs = np.empty((batch, heads, n, n), dtype) if keep else None
+    probs = None if capture is None else np.empty((batch, heads, n, n), dtype)
+    shift, norm = np.empty((2, batch, heads, n, 1), dtype)
     out = np.empty((batch, n, dim), dtype)
     ys = split(out)
+
+    def logits(blk, e):
+        """Block ``blk``'s scaled logits ``q k^T * c``, written into ``e``."""
+        np.matmul(qs[blk], np.swapaxes(ks[blk], -1, -2), out=e)
+        return np.multiply(e, dtype.type(c), out=e)
+
     # one block's logits, turned into its softmax in place; a short last
     # block uses a prefix
     buf = np.empty((step, heads, n, n), dtype)
     for blk in blocks:
-        e = np.matmul(qs[blk], np.swapaxes(ks[blk], -1, -2),
-                      out=buf[:blk.stop - blk.start])
-        np.multiply(e, dtype.type(c), out=e)
-        np.subtract(e, e.max(axis=-1, keepdims=True), out=e)
+        e = logits(blk, buf[:blk.stop - blk.start])
+        np.subtract(e, e.max(axis=-1, keepdims=True, out=shift[blk]), out=e)
         np.exp(e, out=e)
-        denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
-        p = np.divide(e, denom.astype(dtype), out=probs[blk] if keep else e)
+        norm[blk] = e.sum(axis=-1, keepdims=True, dtype=np.float64)
+        p = np.divide(e, norm[blk], out=e if probs is None else probs[blk])
         ys[blk] = p @ vs[blk]
     if capture is not None:
         capture.append(probs)
@@ -511,10 +525,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         gy = split(g)
         grads = tuple(np.empty((batch, n, dim), dtype) for _ in range(3))
         gq, gk, gv = (split(a) for a in grads)
-        bufs = np.empty((2, step, heads, n, n), dtype)
+        bufs = np.empty((3, step, heads, n, n), dtype)
         for blk in blocks:
-            p = probs[blk]
-            glogits, product = bufs[:, :blk.stop - blk.start]
+            p, glogits, product = bufs[:, :blk.stop - blk.start]
+            # the forward's maps, rebuilt by its own operations
+            logits(blk, p)
+            np.subtract(p, shift[blk], out=p)
+            np.exp(p, out=p)
+            np.divide(p, norm[blk], out=p)
             # glogits = (p * (gp - sum(gp * p))) * c, built up in place from gp
             np.matmul(gy[blk], np.swapaxes(vs[blk], -1, -2), out=glogits)
             gv[blk] = np.swapaxes(p, -1, -2) @ gy[blk]

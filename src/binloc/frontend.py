@@ -74,10 +74,6 @@ class FrontendConfig:
     log_compress: bool = True
     standardize: bool = True
 
-    @property
-    def n_bins(self) -> int:
-        return self.nfft // 2 + 1
-
     def n_frames(self, n_samples: int) -> int:
         return (n_samples - self.window_length) // self.hop + 1
 

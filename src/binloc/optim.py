@@ -84,10 +84,20 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
             state.m[key] = m
             state.v[key] = np.zeros_like(p.data)
         v = state.v[key]
+        # m += (1 - beta1) * g and v += (1 - beta2) * g * g, then
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), through one scratch
+        # array and the update itself
+        scratch = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - state.beta2
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        mhat = m / bc1
-        vhat = v / bc2
-        p.data -= (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.data.dtype)
+        v += scratch
+        update = np.divide(m, bc1)
+        update *= state.lr
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.eps
+        update /= scratch
+        p.data -= update

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.io.wavfile
 import scipy.signal
 
+from .config import ENVIRONMENTS
 from .frontend import Waveform
 from .util import config_hash, to_kv
 
@@ -75,9 +76,10 @@ class LocalizationTarget:
         if self.azimuth not in AZIMUTH_GRID:
             raise SpatialError(
                 f"azimuth must be a multiple of 10 in [0, 350], got {self.azimuth}")
-        if self.environment not in ("AE", "RV"):
+        if self.environment not in ENVIRONMENTS:
             raise SpatialError(
-                f"environment must be 'AE' or 'RV', got {self.environment!r}")
+                f"environment must be {' or '.join(map(repr, ENVIRONMENTS))}, "
+                f"got {self.environment!r}")
 
     @property
     def coordinate(self) -> np.ndarray:

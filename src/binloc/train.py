@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine as E
-from .config import ENV_FILTERS, ExperimentConfig
+from .config import ENV_FILTERS, ENVIRONMENTS, ExperimentConfig
 from .data import Sample, batches, load_samples
 from .losses import LOSS_KINDS, angular_errors_deg, make_loss
 from .metrics import (
@@ -312,7 +312,7 @@ def run_env_transfer(base: ExperimentConfig, manifest_path, out_dir
 
     held_out = _held_out(manifest_path, base.frontend, pool)
     test_splits = {env: [s for s in held_out if s.environment == env]
-                   for env in ENV_FILTERS if "+" not in env}
+                   for env in ENVIRONMENTS}
     rows = environment_transfer(models, test_splits)
     write_env_transfer(out_dir, rows)
     return rows

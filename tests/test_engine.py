@@ -317,17 +317,27 @@ class TestBackward:
         g.backward(loss)
         assert p.grad is not None and q.grad is not None
 
-    def test_gelu_input_kept_until_backward(self):
-        p = E.parameter(np.linspace(-2.0, 2.0, 8))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_keeps_only_its_derivative(self, dtype):
+        x = np.linspace(-4.0, 4.0, 17).astype(dtype)
+        wt = np.linspace(0.5, 1.5, 17).astype(dtype)
+        p = E.parameter(x, dtype=dtype)
         with E.Graph() as g:
-            x = E.scale(p, 2.0)
-            gelu_in = weakref.ref(x.data)
-            x = E.gelu(x)
-            loss = E.tsum(x)
-        assert gelu_in() is not None
-        g.backward(loss)
+            y = E.scale(p, 2.0)
+            gelu_in = weakref.ref(y.data)
+            y = E.gelu(y)
+            loss = E.tsum(E.mul(y, E.tensor(wt)))
         assert gelu_in() is None
-        assert p.grad is not None
+        (kept,) = _closure_arrays(g._nodes[1][1])
+        assert kept.shape == x.shape
+        g.backward(loss)
+        # reference: g * (cdf + x * pdf), computed from the input
+        xs = x * dtype(2.0)
+        half = dtype(0.5)
+        cdf = half * (dtype(1.0) + erf(xs * dtype(0.7071067811865476)))
+        pdf = np.exp(-half * xs * xs) * dtype(0.3989422804014327)
+        want = (wt * (cdf + xs * pdf)) * 2.0
+        assert p.grad.dtype == dtype and np.array_equal(p.grad, want)
 
     def test_backward_keeps_node_count_and_still_rejects_a_second_run(self):
         p = E.parameter(np.ones(3))
@@ -501,6 +511,24 @@ def _old_attention_chain(q, k, v, heads, g):
     return y, p, (merge(gq), merge(gk), merge(gv))
 
 
+def _closure_arrays(fn):
+    """The arrays a backward closure holds, directly or through the
+    functions and sequences it holds."""
+    found, todo, seen = [], [fn], set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif callable(obj):
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+    return found
+
+
 def _run_fused(op, inputs, out_shape, seed):
     """Forward ``op`` on float32 parameters and backprop sum(out * w)."""
     params = [E.parameter(a) for a in inputs]
@@ -557,16 +585,18 @@ class TestFusedOps:
     def _check_attention_against_old_chain(shape, heads, dtype):
         rng = np.random.default_rng(22)
         q, k, v = (rng.standard_normal(shape).astype(dtype) for _ in range(3))
-        capture = []
-        out, grads, g = _run_fused(
-            lambda *t: E.attention(*t, heads=heads, capture=capture), (q, k, v),
-            shape, 23)
-        ref, ref_maps, ref_grads = _old_attention_chain(q, k, v, heads,
-                                                        g.astype(dtype))
-        assert out.dtype == dtype and np.array_equal(out, ref)
-        assert np.array_equal(capture[0], ref_maps)
-        for got, want in zip(grads, ref_grads):
-            assert got.dtype == dtype and np.array_equal(got, want)
+        # backward rebuilds the maps, with or without a capture list
+        for capture in ([], None):
+            out, grads, g = _run_fused(
+                lambda *t: E.attention(*t, heads=heads, capture=capture),
+                (q, k, v), shape, 23)
+            ref, ref_maps, ref_grads = _old_attention_chain(q, k, v, heads,
+                                                            g.astype(dtype))
+            assert out.dtype == dtype and np.array_equal(out, ref)
+            if capture is not None:
+                assert np.array_equal(capture[0], ref_maps)
+            for got, want in zip(grads, ref_grads):
+                assert got.dtype == dtype and np.array_equal(got, want)
         # neither capture nor tape: the softmax ends in the block buffer
         plain = E.attention(E.tensor(q), E.tensor(k), E.tensor(v), heads=heads)
         assert np.array_equal(plain.data, ref)
@@ -609,6 +639,21 @@ class TestFusedOps:
         with pytest.raises(E.ShapeError, match="batch, n, dim"):
             E.attention(E.tensor(np.zeros((3, 4))), E.tensor(np.zeros((3, 4))),
                         E.tensor(np.zeros((3, 4))), heads=2)
+
+    def test_recorded_attention_keeps_no_maps(self, monkeypatch):
+        # besides q, k and v, backward keeps each row's max and normalizer
+        monkeypatch.setattr(E, "_ATTENTION_BLOCK_BYTES", 2 * 2 * 17 * 17 * 8)
+        rng = np.random.default_rng(28)
+        b, n, d, heads = 3, 17, 8, 2
+        q, k, v = (_param(rng, (b, n, d)) for _ in range(3))
+        with E.Graph() as g:
+            E.attention(q, k, v, heads=heads)
+        ((_parents, backward),) = g._nodes
+        kept = _closure_arrays(backward)
+        assert kept
+        for a in kept:
+            storage = a if a.base is None else a.base
+            assert storage.size <= b * n * d, a.shape
 
     def test_eval_attention_keeps_no_maps(self):
         q = E.tensor(np.ones((1, 3, 4)))
@@ -656,6 +701,27 @@ class TestAdam:
         p = _with_grad(E.parameter([1.0], name="enc.weight"), [np.nan])
         with pytest.raises(OptimizerError, match="enc.weight"):
             adam_step([p], AdamState())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_fresh_temporaries_bitwise(self, dtype):
+        rng = np.random.default_rng(30)
+        want = rng.standard_normal((7, 5)).astype(dtype)
+        p = E.parameter(want.copy(), name="w", dtype=dtype)
+        state = AdamState(lr=1e-3)
+        m, v = np.zeros_like(want), np.zeros_like(want)
+        for t in range(1, 4):
+            g = rng.standard_normal(want.shape).astype(dtype)
+            p.grad = g
+            adam_step([p], state)
+            # the update with a fresh array per step
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * (g * g)
+            mhat = m / (1.0 - 0.9 ** t)
+            vhat = v / (1.0 - 0.999 ** t)
+            want -= (1e-3 * mhat / (np.sqrt(vhat) + 1e-8)).astype(dtype)
+            assert p.data.dtype == dtype and np.array_equal(p.data, want)
 
     def test_moment_shapes_track_parameter(self):
         p = _with_grad(E.parameter(np.ones((3, 4)), name="w"), np.ones((3, 4)))

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,26 @@ class TestForward:
             pred = model.forward(x, x, rng=np.random.default_rng(0))
             make_loss(cfg.loss)(np.ones((2, 2)), pred)
         assert len(g) == 124
+
+    def test_desk_tape_holds_at_most_50_mib(self):
+        # the tape keeps neither attention maps nor GELU inputs; keeping
+        # them as well takes this forward's tape to 63.1 MiB
+        cfg = desk_profile()
+        model = BinauralTransformer(cfg.model, seed=0)
+        rng = np.random.default_rng(0)
+        xl, xr = (rng.standard_normal((16, cfg.model.height, cfg.model.width))
+                  .astype(np.float32) for _ in range(2))
+        target = np.tile(np.float32([[0.0, 1.0]]), (16, 1))
+        loss_fn = make_loss(cfg.loss)
+        tracemalloc.start()
+        try:
+            with E.Graph() as g:
+                loss_fn(target, model.forward(xl, xr, rng=rng))
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g) == 124
+        assert kept <= 50 * 2**20, kept / 2**20
 
 
 class TestSharedEarBatch:
