@@ -41,9 +41,10 @@ def load_samples(manifest_path, frontend_cfg: FrontendConfig,
     splits loads them in one call and separates them by ``Sample.split``.
     ``cache_path`` points at an optional spectrogram cache that is reused
     when it was built from this corpus under this frontend config; a cache
-    that is not, that is cut short or that has an older layout is rebuilt
-    with one line on stderr naming the cause. The cache is written at most
-    once per call, and only when a pair was missing from it.
+    that is not, that is cut short, that holds a misshapen entry or that has
+    an older layout is rebuilt with one line on stderr naming the cause. The
+    cache is written at most once per call, and only when a pair was missing
+    from it.
 
     ``pool`` maps sample id to spectrogram pair for a caller that loads the
     same corpus under the same frontend config several times: a pair comes

@@ -30,7 +30,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "scale",
     "gelu",
     "layer_norm",
     "dropout",
@@ -281,12 +280,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record_op((a, b), out, backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    arr = a.data * a.data.dtype.type(c)
-    return _record_op((a,), arr, lambda g: (g * c,))
 
 
 def gelu(a: Tensor) -> Tensor:

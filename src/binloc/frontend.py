@@ -177,9 +177,10 @@ def load_spectrogram_cache(path, cfg: FrontendConfig, *, corpus_hash: str | None
     """Read a cache written by ``save_spectrogram_cache``.
 
     Raises ``FrontendError`` when the file is not a cache in this layout, is
-    cut short or has a malformed header, when the stored frontend config
-    hash does not match ``cfg``, and, if ``corpus_hash`` is given, when the
-    cache was built from another corpus.
+    cut short or has a malformed header, when an entry is not one (2, bins,
+    frames) pair, when the stored frontend config hash does not match
+    ``cfg``, and, if ``corpus_hash`` is given, when the cache was built from
+    another corpus.
     """
     header, pairs = read_tensor_file(path, _CACHE_MAGIC, "spectrogram cache",
                                      FrontendError)
@@ -193,4 +194,9 @@ def load_spectrogram_cache(path, cfg: FrontendConfig, *, corpus_hash: str | None
         raise FrontendError(
             f"{path}: cache was built from corpus {stored_corpus}, "
             f"current corpus is {corpus_hash}")
+    bins = cfg.nfft // 2 + 1
+    for name, pair in pairs.items():
+        if pair.ndim != 3 or pair.shape[:2] != (2, bins):
+            raise FrontendError(f"{path}: entry {name!r} has shape {pair.shape}, "
+                                f"expected (2, {bins}, frames)")
     return {name: (pair[0], pair[1]) for name, pair in pairs.items()}

@@ -114,8 +114,10 @@ def write_kv(path, mapping: dict) -> None:
 
 
 def read_kv(path) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
+    """Parse ``key = value`` lines; '#' starts a comment, blanks ignored,
+    and a key set on two lines is an error that names both."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,7 +125,11 @@ def read_kv(path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already set on line "
+                             f"{first_line[key]}")
+        out[key] = value.strip()
     return out
 
 

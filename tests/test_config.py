@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from binloc.cli import main
 from binloc.config import ExperimentConfig, desk_profile, full_profile
 from binloc.frontend import FrontendConfig
 from binloc.losses import LossConfig
 from binloc.model import ModelConfig
 from binloc.spatial import SceneConfig
-from binloc.util import from_kv, to_kv
+from binloc.util import from_kv, read_kv, to_kv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -164,3 +165,20 @@ class TestFromKv:
     def test_rejected_value_names_key(self, key, text):
         with pytest.raises(ValueError, match=f"config key '{key}'"):
             from_kv(desk_profile(), {key: text})
+
+
+class TestReadKv:
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "exp.kv"
+        path.write_text("dim = 32\n# comment\n\nlr = 0.01\n dim=64  # again\n")
+        with pytest.raises(ValueError) as info:
+            read_kv(path)
+        assert str(info.value) == f"{path}:5: key 'dim' already set on line 1"
+
+    def test_repeated_key_in_config_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "exp.kv"
+        config.write_text("layers = 1\nlayers = 2\n")
+        assert main(["train", "--manifest", str(tmp_path / "missing.jsonl"),
+                     "--out", str(tmp_path / "run"), "--config", str(config)]) == 1
+        assert f"{config}:2: key 'layers' already set on line 1" in \
+            capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 
 from binloc.cli import main
 from binloc.data import load_samples
-from binloc.frontend import CANONICAL, binaural_spectrogram
+from binloc.frontend import CANONICAL, binaural_spectrogram, save_spectrogram_cache
 from binloc.spatial import load_manifest, read_wav
 from helpers import MALFORMED_HEADERS, tensor_file_bytes
 
@@ -68,6 +68,26 @@ def test_damaged_cache_is_rebuilt_with_a_message(manifest, tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert str(cache) in err[0] and cause in err[0]
+    _assert_fresh(manifest, samples)
+    assert cache.read_bytes() == intact
+
+
+@pytest.mark.parametrize("shape", [(1, 129, 61), (2, 61), (2, 128, 61)],
+                         ids=["one-ear", "2-d", "bins"])
+def test_misshapen_cache_entry_is_rebuilt(manifest, tmp_path, capsys, shape):
+    cache = tmp_path / "spectrograms.cache"
+    samples = load_samples(manifest, CANONICAL, cache_path=cache)
+    intact = cache.read_bytes()
+    entries = {s.sample_id: (s.x_left, s.x_right) for s in samples}
+    bad = samples[1].sample_id
+    entries[bad] = np.zeros(shape, dtype=np.float32)
+    save_spectrogram_cache(cache, entries, CANONICAL,
+                           corpus_hash=load_manifest(manifest).config_hash)
+    capsys.readouterr()
+    samples = load_samples(manifest, CANONICAL, cache_path=cache)
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"rebuilding spectrogram cache: {cache}: entry {bad!r} has "
+                   f"shape {shape}, expected (2, 129, frames)"]
     _assert_fresh(manifest, samples)
     assert cache.read_bytes() == intact
 

@@ -23,6 +23,11 @@ def _zero_bias(n):
     return E.tensor(np.zeros(n), dtype=np.float64)
 
 
+def _times(a, c):
+    """``a`` times the constant ``c``, held in a tensor of ``a``'s dtype."""
+    return E.mul(a, E.tensor(c, dtype=a.dtype))
+
+
 class TestMatmul:
     """The GEMM inside ``linear``, seen with a zero bias."""
 
@@ -323,7 +328,7 @@ class TestBackward:
         wt = np.linspace(0.5, 1.5, 17).astype(dtype)
         p = E.parameter(x, dtype=dtype)
         with E.Graph() as g:
-            y = E.scale(p, 2.0)
+            y = _times(p, 2.0)
             gelu_in = weakref.ref(y.data)
             y = E.gelu(y)
             loss = E.tsum(E.mul(y, E.tensor(wt)))
@@ -358,7 +363,7 @@ class TestBackward:
         with E.Graph() as outer:
             y = E.mul(p, p)
             with E.Graph() as inner:
-                loss = E.tsum(E.scale(y, 3.0))
+                loss = E.tsum(_times(y, 3.0))
         assert len(outer) == 1 and len(inner) == 2
         inner.backward(loss)
         np.testing.assert_array_equal(y.grad, np.full(2, 3.0, dtype=np.float32))
@@ -368,7 +373,7 @@ class TestBackward:
         # a tape that never reaches backward is freed with its graph
         p = E.parameter(np.ones(3))
         with E.Graph() as g:
-            x = E.scale(p, 2.0)
+            x = _times(p, 2.0)
             saved = weakref.ref(x.data)
             loss = E.tsum(E.gelu(x))
         del x, g
@@ -390,14 +395,14 @@ class TestBackward:
         worker_tapes = []
 
         def worker():
-            E.scale(p, 2.0)  # the main thread's graph is not this thread's
+            _times(p, 2.0)  # the main thread's graph is not this thread's
             with E.Graph() as g:
-                E.scale(p, 3.0)
-                E.scale(p, 4.0)
+                _times(p, 3.0)
+                _times(p, 4.0)
             worker_tapes.append(len(g))
 
         with E.Graph() as g:
-            E.scale(p, 1.0)
+            _times(p, 1.0)
             thread = threading.Thread(target=worker)
             thread.start()
             thread.join(timeout=30)

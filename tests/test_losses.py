@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from binloc import engine as E
 from binloc.losses import (
+    LOSS_KINDS,
     LossConfig,
     LossError,
     ad_loss,
@@ -23,6 +24,23 @@ from helpers import central_diff, max_rel_err
 
 def _pred(data):
     return E.parameter(np.asarray(data, dtype=np.float64), dtype=np.float64)
+
+
+def _old_hybrid_chain(target, pred, alpha):
+    """The hybrid loss as primitive engine ops: the angular node, then
+    ``sub``, ``mul``, ``tsum`` and ``tmean`` for the squared distance, each
+    term times its weight as a constant of ``pred``'s dtype, then their sum."""
+    def weight(c):
+        return E.tensor(c, dtype=pred.dtype)
+
+    ad = ad_loss(target, pred) if alpha > 0.0 else None
+    diff = E.sub(pred, E.tensor(target, dtype=pred.dtype))
+    mse = E.tmean(E.tsum(E.mul(diff, diff), axis=1))
+    if alpha == 0.0:
+        return mse
+    if alpha == 1.0:
+        return ad
+    return E.add(E.mul(ad, weight(alpha)), E.mul(mse, weight(1.0 - alpha)))
 
 
 class TestMse:
@@ -135,6 +153,42 @@ class TestAngular:
 
 
 class TestHybrid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+    def test_matches_old_chain_bitwise(self, alpha, dtype):
+        rng = np.random.default_rng(10)
+        c = rng.standard_normal((9, 2))
+        pd = rng.standard_normal((9, 2)) * 3.0
+        pd[2] = 0.0             # degenerate: no angular gradient
+        pd[5] = 2.5 * c[5]      # collinear: cosine at the clamp
+        pd[7] = -0.5 * c[7]     # antipodal
+        results = []
+        for loss_fn in (lambda p: hybrid_loss(c, p, alpha),
+                        lambda p: _old_hybrid_chain(c, p, alpha)):
+            p = E.parameter(pd, dtype=dtype)
+            with E.Graph() as g:
+                loss = loss_fn(p)
+            g.backward(loss)
+            results.append((loss.data, p.grad))
+        (value, grad), (ref, ref_grad) = results
+        assert value.dtype == dtype and np.array_equal(value, ref)
+        assert grad.dtype == dtype and np.array_equal(grad, ref_grad)
+
+    def test_each_loss_is_one_tape_node(self):
+        c = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for kind in LOSS_KINDS:
+            p = _pred([[1.0, 1.0], [0.5, -1.0]])
+            with E.Graph() as g:
+                make_loss(LossConfig(kind))(c, p)
+            assert len(g) == 1, kind
+
+    def test_squared_distance_alone_does_no_angular_work(self):
+        # the angle to a zero-norm target is undefined, its distance is not
+        c = np.array([[0.0, 0.0]])
+        assert hybrid_loss(c, _pred([[0.0, 2.0]]), alpha=0.0).item() == 4.0
+        with pytest.raises(LossError, match="zero norm"):
+            hybrid_loss(c, _pred([[0.0, 2.0]]), alpha=0.25)
+
     def test_alpha_one_is_ad_bitwise(self):
         rng = np.random.default_rng(5)
         c = rng.standard_normal((4, 2))
@@ -203,6 +257,11 @@ class TestAngularErrorsDeg:
         per_sample = angular_errors_deg(c, p)
         loss_value = ad_loss(c, _pred(p)).item()
         assert per_sample.mean() == pytest.approx(180.0 * loss_value, abs=1e-9)
+
+    def test_zero_norm_target_names_its_row(self):
+        with pytest.raises(LossError, match="target row 1 has zero norm"):
+            angular_errors_deg(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                               np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_bounds(self):
         assert angular_errors_deg(np.array([[0.0, 1.0]]),

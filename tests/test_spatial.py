@@ -381,6 +381,18 @@ class TestBuildDataset:
         # the next line closes this one and the last holds two records: read
         # as one JSON array, the file would have one item per non-blank line
         (json.dumps(_RECORD)[:-1] + ', "extra": [1', "not one JSON record"),
+        # field types: an unhashable id or hash, a number where a string
+        # belongs, or an azimuth that is not a JSON integer
+        (json.dumps({**_RECORD, "id": "s1", "config_hash": ["x"]}),
+         "config_hash must be a string, got ['x']"),
+        (json.dumps({**_RECORD, "id": ["s1"]}), "id must be a string, got ['s1']"),
+        (json.dumps({**_RECORD, "id": 7}), "id must be a string, got 7"),
+        (json.dumps({**_RECORD, "id": "s1", "azimuth": "40"}),
+         "azimuth must be an integer, got '40'"),
+        (json.dumps({**_RECORD, "id": "s1", "azimuth": 40.0}),
+         "azimuth must be an integer, got 40.0"),
+        (json.dumps({**_RECORD, "id": "s1", "azimuth": True}),
+         "azimuth must be an integer, got True"),
     ])
     def test_bad_line_named_with_file_and_number(self, tmp_path, bad, message):
         good = json.dumps(self._RECORD)

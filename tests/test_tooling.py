@@ -10,7 +10,7 @@ import numpy as np
 
 from binloc import engine as E
 from binloc.config import desk_profile
-from binloc.losses import make_loss
+from binloc.losses import LOSS_KINDS, LossConfig, make_loss
 from binloc.model import BinauralTransformer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,7 +55,7 @@ def test_tracer_installs_and_uninstalls_on_current_modules():
         assert after[key] is value, key
 
 
-def test_traced_desk_step_counts_124_tape_nodes():
+def test_traced_desk_step_counts_117_tape_nodes():
     # perfbench/run.py fails a traced run whose train steps record differing
     # node counts; the tracer reads len(graph) after backward has run
     tracer = _import_tracing().Tracer()
@@ -68,10 +68,17 @@ def test_traced_desk_step_counts_124_tape_nodes():
             pred = model.forward(x, x, rng=np.random.default_rng(0))
             loss = make_loss(cfg.loss)(np.ones((2, 2)), pred)
         g.backward(loss)
+        for kind in LOSS_KINDS:
+            make_loss(LossConfig(kind))(np.ones((2, 2)), E.tensor(np.ones((2, 2))))
     finally:
         tracer.uninstall()
-    assert [n for _, _, n in tracer.samples["engine.tape_nodes"]] == [124]
+    assert [n for _, _, n in tracer.samples["engine.tape_nodes"]] == [117]
     assert all(p.grad is not None for p in model.parameters())
+    # losses.loss_ms reads these span names: every kind's loss runs under one
+    loss_spans = [s[0] for s in tracer.spans if s[0].startswith("losses.")]
+    assert len(loss_spans) == 1 + len(LOSS_KINDS)
+    assert set(loss_spans) <= {"losses.mse_loss", "losses.ad_loss",
+                               "losses.hybrid_loss"}
     # engine.op_ms counts each op's own span, so no op may run inside another
     ops = {f"engine.{name}" for name in E.__all__
            if inspect.isfunction(getattr(E, name))}
