@@ -12,6 +12,8 @@ import platform
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ENV_FILTERS, ENVIRONMENTS, PROFILES, ExperimentConfig
 from .data import load_samples
 from .losses import LOSS_KINDS
@@ -280,7 +282,9 @@ def _cmd_rollout(args) -> int:
 def _cmd_inspect_params(args) -> int:
     cfg = _base_config(args)
     model_cfg = cfg.model
-    model = BinauralTransformer(model_cfg, seed=0)
+    # counting needs only shapes: every parameter is a zero-stride view
+    model = BinauralTransformer(
+        model_cfg, init=lambda name, shape, fill: np.broadcast_to(np.float32(0), shape))
     count = model.count_parameters()
     mode = "shared" if model_cfg.shared else "non-shared"
     print(f"{mode} / {model_cfg.integration}: {count:,} trainable parameters "

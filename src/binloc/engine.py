@@ -63,11 +63,6 @@ class _Local(threading.local):
 _local = _Local()
 
 
-def current_graph() -> "Graph | None":
-    graphs = _local.graphs
-    return graphs[-1] if graphs else None
-
-
 class Tensor:
     """A dense array plus grad bookkeeping.
 

@@ -178,9 +178,9 @@ def load_spectrogram_cache(path, cfg: FrontendConfig, *, corpus_hash: str | None
 
     Raises ``FrontendError`` when the file is not a cache in this layout, is
     cut short or has a malformed header, when an entry is not one (2, bins,
-    frames) pair, when the stored frontend config hash does not match
-    ``cfg``, and, if ``corpus_hash`` is given, when the cache was built from
-    another corpus.
+    frames) pair or differs in shape from the first entry, when the stored
+    frontend config hash does not match ``cfg``, and, if ``corpus_hash`` is
+    given, when the cache was built from another corpus.
     """
     header, pairs = read_tensor_file(path, _CACHE_MAGIC, "spectrogram cache",
                                      FrontendError)
@@ -195,8 +195,12 @@ def load_spectrogram_cache(path, cfg: FrontendConfig, *, corpus_hash: str | None
             f"{path}: cache was built from corpus {stored_corpus}, "
             f"current corpus is {corpus_hash}")
     bins = cfg.nfft // 2 + 1
+    first = next(iter(pairs), None)
     for name, pair in pairs.items():
         if pair.ndim != 3 or pair.shape[:2] != (2, bins):
             raise FrontendError(f"{path}: entry {name!r} has shape {pair.shape}, "
                                 f"expected (2, {bins}, frames)")
+        if pair.shape != pairs[first].shape:
+            raise FrontendError(f"{path}: entry {name!r} has shape {pair.shape}, "
+                                f"entry {first!r} has {pairs[first].shape}")
     return {name: (pair[0], pair[1]) for name, pair in pairs.items()}

@@ -372,32 +372,15 @@ class BinauralTransformer:
 
     def integrated(self, x_left: np.ndarray, x_right: np.ndarray, rng=None,
                    capture: AttentionCapture | None = None) -> E.Tensor:
-        """Per-ear encoders plus interaural integration (input to the center).
-
-        A shared ear pathway at inference (no ``rng``, no tape recording)
-        runs both ears as one batch of 2B: every op acts per sample, so the
-        result and the maps are those of two per-ear passes. Training keeps
-        one pass per ear, which fixes its dropout draw order and the
-        summation order of the shared weights' gradients.
-        """
+        """Per-ear encoders plus interaural integration (input to the center)."""
         x_left, x_right = self._as_batch(x_left), self._as_batch(x_right)
         if len(x_left) != len(x_right):
             raise ConfigError(f"left batch {x_left.shape} and right batch "
                               f"{x_right.shape} differ in size")
         cap_l = capture.left if capture is not None else None
         cap_r = capture.right if capture is not None else None
-        if self.config.shared and rng is None and E.current_graph() is None:
-            b = len(x_left)
-            both = self.embed(np.concatenate([x_left, x_right]), self.proj_left, None)
-            maps = [] if capture is not None else None
-            z = self.enc_left(both, None, maps).data
-            for m in maps or ():
-                cap_l.append(m[:b])
-                cap_r.append(m[b:])
-            z_l, z_r = E.Tensor(z[:b]), E.Tensor(z[b:])
-        else:
-            z_l = self.enc_left(self.embed(x_left, self.proj_left, rng), rng, cap_l)
-            z_r = self.enc_right(self.embed(x_right, self.proj_right, rng), rng, cap_r)
+        z_l = self.enc_left(self.embed(x_left, self.proj_left, rng), rng, cap_l)
+        z_r = self.enc_right(self.embed(x_right, self.proj_right, rng), rng, cap_r)
         return integrate(z_l, z_r, self.config.integration)
 
     def forward(self, x_left: np.ndarray, x_right: np.ndarray, rng=None,

@@ -140,9 +140,8 @@ def _upsample_index(n_h: int, n_t: int, height: int, width: int, patch: int,
     return rows, cols
 
 
-def export_heatmap(record: RolloutRecord, meta: dict, out_dir,
-                   height: int = 129, width: int = 61, patch: int = 16,
-                   stride: int = 6) -> list[Path]:
+def export_heatmap(record: RolloutRecord, meta: dict, out_dir, *,
+                   height: int, width: int, patch: int, stride: int) -> list[Path]:
     """Write per-pathway relevance CSVs plus upsampled overlays and metadata.
 
     Produces ``rollout_<id>_<ear>.csv`` (patch grid),

@@ -362,8 +362,7 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
 # a manifest line's keys, in ManifestRecord's field order
 _RECORD_KEYS = ("id", "source", "azimuth", "env", "split", "path")
 _record_values = operator.itemgetter(*_RECORD_KEYS)
-_TYPED_KEYS = (("id", str, "a string"), ("azimuth", int, "an integer"),
-               ("config_hash", str, "a string"))
+_FIELD_TYPES = {**dict.fromkeys(_RECORD_KEYS, str), "azimuth": int, "config_hash": str}
 _DECODER = json.JSONDecoder()
 
 
@@ -371,10 +370,10 @@ def load_manifest(path) -> DatasetManifest:
     """Read a ``manifest.jsonl``: one JSON record per non-blank line.
 
     Raises ``SpatialError("<path>:<line>: ...")`` at the first line that is
-    not exactly one JSON object with every field (string ``id`` and
-    ``config_hash``, integer ``azimuth``) or that repeats an earlier line's
-    sample id, and ``SpatialError`` naming the file when the records carry
-    more than one ``config_hash``.
+    not exactly one JSON object with every field (integer ``azimuth``, every
+    other field a string) or that repeats an earlier line's sample id, and
+    ``SpatialError`` naming the file when the records carry more than one
+    ``config_hash``.
     """
     records, hashes, first_line = [], set(), {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -396,19 +395,21 @@ def load_manifest(path) -> DatasetManifest:
             record = ManifestRecord._make(_record_values(row))
             corpus = row["config_hash"]
         except KeyError:
-            missing = [key for key in _RECORD_KEYS + ("config_hash",) if key not in row]
+            missing = [key for key in _FIELD_TYPES if key not in row]
             raise SpatialError(f"{path}:{lineno}: record has no "
                                f"{', '.join(missing)}") from None
-        if (type(record.sample_id) is not str or type(record.azimuth) is not int
-                or type(corpus) is not str):
-            key, what = next((key, what) for key, kind, what in _TYPED_KEYS
+        sample_id, source, azimuth, env, split, rel = record
+        if not (type(sample_id) is type(source) is type(env) is type(split)
+                is type(rel) is type(corpus) is str and type(azimuth) is int):
+            key, kind = next((key, kind) for key, kind in _FIELD_TYPES.items()
                              if type(row[key]) is not kind)
+            what = "an integer" if kind is int else "a string"
             raise SpatialError(f"{path}:{lineno}: {key} must be {what}, "
                                f"got {row[key]!r}")
         hashes.add(corpus)
-        first = first_line.setdefault(record.sample_id, lineno)
+        first = first_line.setdefault(sample_id, lineno)
         if first != lineno:
-            raise SpatialError(f"{path}:{lineno}: sample id {record.sample_id!r} "
+            raise SpatialError(f"{path}:{lineno}: sample id {sample_id!r} "
                                f"already on line {first}")
         records.append(record)
     if len(hashes) > 1:

@@ -151,6 +151,15 @@ class TestInspectParams:
                     .replace(",", ""))
         assert 0 < count < 100_000
 
+    def test_full_scale_count_draws_no_weights(self, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("inspect-params drew random weights")
+
+        monkeypatch.setattr("binloc.model._trunc_normal", no_draws)
+        assert main(["inspect-params", "--profile", "full", "--integration", "sub",
+                     "--non-shared"]) == 0
+        assert "non-shared / sub: 57,245,698 trainable parameters" in capsys.readouterr().out
+
 
 @pytest.fixture(scope="module")
 def cli_workspace(tmp_path_factory):

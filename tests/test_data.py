@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from binloc.cli import main
-from binloc.data import load_samples
+from binloc.data import batches, load_samples
 from binloc.frontend import CANONICAL, binaural_spectrogram, save_spectrogram_cache
 from binloc.spatial import load_manifest, read_wav
 from helpers import MALFORMED_HEADERS, tensor_file_bytes
@@ -72,9 +72,14 @@ def test_damaged_cache_is_rebuilt_with_a_message(manifest, tmp_path, capsys,
     assert cache.read_bytes() == intact
 
 
-@pytest.mark.parametrize("shape", [(1, 129, 61), (2, 61), (2, 128, 61)],
-                         ids=["one-ear", "2-d", "bins"])
-def test_misshapen_cache_entry_is_rebuilt(manifest, tmp_path, capsys, shape):
+@pytest.mark.parametrize("shape,expected", [
+    ((1, 129, 61), "expected (2, 129, frames)"),
+    ((2, 61), "expected (2, 129, frames)"),
+    ((2, 128, 61), "expected (2, 129, frames)"),
+    # well formed, but one frame short of every other entry
+    ((2, 129, 60), "entry {first!r} has (2, 129, 61)"),
+], ids=["one-ear", "2-d", "bins", "frames"])
+def test_misshapen_cache_entry_is_rebuilt(manifest, tmp_path, capsys, shape, expected):
     cache = tmp_path / "spectrograms.cache"
     samples = load_samples(manifest, CANONICAL, cache_path=cache)
     intact = cache.read_bytes()
@@ -86,10 +91,12 @@ def test_misshapen_cache_entry_is_rebuilt(manifest, tmp_path, capsys, shape):
     capsys.readouterr()
     samples = load_samples(manifest, CANONICAL, cache_path=cache)
     err = capsys.readouterr().err.splitlines()
+    expected = expected.format(first=samples[0].sample_id)
     assert err == [f"rebuilding spectrogram cache: {cache}: entry {bad!r} has "
-                   f"shape {shape}, expected (2, 129, frames)"]
+                   f"shape {shape}, {expected}"]
     _assert_fresh(manifest, samples)
     assert cache.read_bytes() == intact
+    assert sum(len(chunk) for *_, chunk in batches(samples, 4)) == len(samples)
 
 
 def _write_first_layout(path, samples, corpus_hash):

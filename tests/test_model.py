@@ -355,9 +355,9 @@ class TestForward:
         assert kept <= 50 * 2**20, kept / 2**20
 
 
-class TestSharedEarBatch:
-    """A shared ear pathway at inference runs both ears as one 2B batch;
-    under a recording tape it runs once per ear. Both give equal bits."""
+class TestSharedEarPasses:
+    """A shared ear pathway runs one pass per ear, with or without a
+    recording tape, and both give equal bits."""
 
     @staticmethod
     def _count_embeds(model, monkeypatch) -> list[int]:
@@ -378,18 +378,23 @@ class TestSharedEarBatch:
                           dropout=0.0, integration=integration, shared=True)
         model = BinauralTransformer(cfg, seed=3)
         embedded = self._count_embeds(model, monkeypatch)
+
+        def per_ear(call, xl, xr):
+            """``call(xl, xr)``, checking that it embeds each ear on its own."""
+            embedded.clear()
+            out = call(xl, xr)
+            assert embedded == [len(xl), len(xr)]
+            return out
+
         rng = np.random.default_rng(stride)
         for batch in (1, 4, 33):
             xl, xr = (rng.standard_normal((batch, 129, 61)).astype(np.float32)
                       for _ in range(2))
-            embedded.clear()
-            pred = model.predict(xl, xr)
-            attn_pred, capture = model.forward_with_attention(xl, xr)
-            assert embedded == [2 * batch, 2 * batch]
+            pred = per_ear(model.predict, xl, xr)
+            attn_pred, capture = per_ear(model.forward_with_attention, xl, xr)
             with E.Graph():
-                ref = model.predict(xl, xr)
-                ref_attn_pred, ref_capture = model.forward_with_attention(xl, xr)
-            assert embedded[2:] == [batch] * 4
+                ref = per_ear(model.predict, xl, xr)
+                ref_attn_pred, ref_capture = per_ear(model.forward_with_attention, xl, xr)
             assert np.array_equal(pred, ref)
             assert np.array_equal(attn_pred, ref_attn_pred)
             for part in ("left", "right", "center"):

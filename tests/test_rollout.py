@@ -186,7 +186,8 @@ class TestExport:
         record.relevance = {ear: rng.random((grid.n_h, grid.n_t)) / 7
                             for ear in ("left", "right", "center")}
         record.relevance["left"][0, 0] = 1e-7
-        export_heatmap(record, {"sample_id": "s"}, tmp_path, stride=stride)
+        export_heatmap(record, {"sample_id": "s"}, tmp_path, height=129, width=61,
+                       patch=16, stride=stride)
         for ear, values in record.relevance.items():
             overlay = upsample_grid(values, 129, 61, 16, stride)
             for suffix, rows in (("", values), ("_overlay", overlay)):

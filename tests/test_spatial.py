@@ -393,6 +393,12 @@ class TestBuildDataset:
          "azimuth must be an integer, got 40.0"),
         (json.dumps({**_RECORD, "id": "s1", "azimuth": True}),
          "azimuth must be an integer, got True"),
+        (json.dumps({**_RECORD, "id": "s1", "path": 5}), "path must be a string, got 5"),
+        (json.dumps({**_RECORD, "id": "s1", "source": None}),
+         "source must be a string, got None"),
+        (json.dumps({**_RECORD, "id": "s1", "env": 1}), "env must be a string, got 1"),
+        (json.dumps({**_RECORD, "id": "s1", "split": ["val"]}),
+         "split must be a string, got ['val']"),
     ])
     def test_bad_line_named_with_file_and_number(self, tmp_path, bad, message):
         good = json.dumps(self._RECORD)
