@@ -37,6 +37,7 @@ __all__ = [
     "tmean",
     "concat",
     "linear",
+    "norm_linear",
     "attention",
 ]
 
@@ -306,11 +307,12 @@ def _into(ufunc, x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """``ufunc(x, y)`` written into ``buf``, a spent temporary of the
     result's shape, when it also has the result's dtype; mixed-precision
     operands get a fresh array, as without ``out``."""
-    return ufunc(x, y, out=buf if buf.dtype == np.result_type(x, y) else None)
+    same = x.dtype == buf.dtype and y.dtype == buf.dtype
+    return ufunc(x, y, out=buf if same or buf.dtype == np.result_type(x, y) else None)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def _norm(a: Tensor, gain: Tensor, bias: Tensor):
+    """The layer norm of ``a``'s last axis: its output, ``xhat`` and ``inv``."""
     n = a.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise ShapeError(
@@ -318,32 +320,49 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"{gain.data.shape} and {bias.data.shape}")
     # moments accumulate in 64-bit; centering/scaling stay in storage precision.
     # Temporaries are reused: the squares become xhat, centered the output.
-    mean = a.data.mean(axis=-1, keepdims=True, dtype=np.float64)
+    # np.add.reduce / n is ndarray.mean without its Python wrapper.
+    mean = np.add.reduce(a.data, axis=-1, dtype=np.float64, keepdims=True) / n
     centered = a.data - mean.astype(a.data.dtype)
     squares = np.square(centered)
-    var = squares.mean(axis=-1, keepdims=True, dtype=np.float64)
+    var = np.add.reduce(squares, axis=-1, dtype=np.float64, keepdims=True) / n
     inv = (1.0 / np.sqrt(var + 1e-5)).astype(a.data.dtype)
     xhat = np.multiply(centered, inv, out=squares)
-    out = _into(np.multiply, xhat, gain.data, centered)
-    out = _into(np.add, out, bias.data, out)
-    need_a, need_gain, need_bias = a.requires_grad, gain.requires_grad, bias.requires_grad
+    return _affine(xhat, gain.data, bias.data, centered), xhat, inv
+
+
+def _affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+            buf: np.ndarray) -> np.ndarray:
+    """``xhat * gain + bias``, the norm's output, built in ``buf``."""
+    return _into(np.add, _into(np.multiply, xhat, gain, buf), bias, buf)
+
+
+def _norm_backward(g, xhat, inv, gain, need_a, need_gain, need_bias, scratch):
+    """The layer norm's input, gain and bias gradients from its output
+    gradient ``g``; ``scratch`` is a spent temporary of ``g``'s shape."""
+    red = tuple(range(g.ndim - 1))
+    scratch = _into(np.multiply, g, xhat, scratch)
+    ggain = scratch.sum(axis=red) if need_gain else None
+    gbias = g.sum(axis=red) if need_bias else None
+    ga = None
+    if need_a:
+        # ga = inv * (gx - m1 - xhat * m2), built up in gx
+        gx = g * gain
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = _into(np.multiply, gx, xhat, scratch).mean(axis=-1, keepdims=True)
+        gx = _into(np.subtract, gx, m1, gx)
+        gx = _into(np.subtract, gx, _into(np.multiply, xhat, m2, scratch), gx)
+        ga = _into(np.multiply, inv, gx, gx)
+    return ga, ggain, gbias
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    out, xhat, inv = _norm(a, gain, bias)
+    needs = a.requires_grad, gain.requires_grad, bias.requires_grad
     gain_data = gain.data
 
     def backward(g):
-        red = tuple(range(g.ndim - 1))
-        scratch = g * xhat
-        ggain = scratch.sum(axis=red) if need_gain else None
-        gbias = g.sum(axis=red) if need_bias else None
-        ga = None
-        if need_a:
-            # ga = inv * (gx - m1 - xhat * m2), built up in gx
-            gx = g * gain_data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = _into(np.multiply, gx, xhat, scratch).mean(axis=-1, keepdims=True)
-            gx = _into(np.subtract, gx, m1, gx)
-            gx = _into(np.subtract, gx, _into(np.multiply, xhat, m2, scratch), gx)
-            ga = _into(np.multiply, inv, gx, gx)
-        return ga, ggain, gbias
+        return _norm_backward(g, xhat, inv, gain_data, *needs, np.empty_like(g))
 
     return _record_op((a, gain, bias), out, backward)
 
@@ -446,50 +465,113 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record_op((x, w, b), out.reshape(x.shape[:-1] + (w.shape[1],)), backward)
 
 
+def norm_linear(x: Tensor, gain: Tensor, bias: Tensor,
+                pairs: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """``layer_norm(x, gain, bias)`` fed to one affine map per ``(w, b)`` in
+    ``pairs``, their outputs side by side along the last axis: a pre-norm
+    block's q, k and v projections, or its first MLP layer.
+
+    Each map's GEMM writes its own column slice of the output, so the bits
+    are those of ``linear`` on the norm's output. A recorded call keeps only
+    the norm's ``xhat`` and ``inv``: backward rebuilds the norm's output from
+    them with the forward's own operations, and sums the maps' input
+    gradients last map first, as the tape sums separate ``linear`` nodes.
+    """
+    n = x.data.shape[-1]
+    cols, lo = [], 0
+    for w, b in pairs:
+        if w.data.ndim != 2 or w.data.shape[0] != n or b.data.shape != (w.data.shape[1],):
+            raise ShapeError(
+                f"norm_linear needs x (..., d_in), w (d_in, d_out) and b (d_out,), "
+                f"got {x.shape}, {w.shape} and {b.shape}")
+        cols.append(slice(lo, lo + w.data.shape[1]))
+        lo += w.data.shape[1]
+    normed, xhat, inv = _norm(x, gain, bias)
+    flat = normed.reshape(-1, n)
+    weights = [w.data for w, _ in pairs]
+    out = np.empty((len(flat), lo), np.result_type(flat, *weights))
+    for w, c in zip(weights, cols):
+        np.matmul(flat, w, out=out[:, c])
+    # one bias add over whole rows: adding into each strided column slice
+    # runs about 3x slower per element
+    out += np.concatenate([b.data for _, b in pairs])
+    gain_data, bias_data, shape = gain.data, bias.data, x.data.shape
+    needs = x.requires_grad, gain.requires_grad, bias.requires_grad
+    need_params = [(w.requires_grad, b.requires_grad) for w, b in pairs]
+
+    def backward(g):
+        g = g.reshape(-1, g.shape[-1])
+        normed = _affine(xhat, gain_data, bias_data, np.empty_like(xhat))
+        flat = normed.reshape(-1, n)
+        gnorm, grads = None, []
+        for wd, c in zip(weights[::-1], cols[::-1]):  # last map first
+            part = g[:, c] @ wd.T
+            gnorm = part if gnorm is None else _into(np.add, gnorm, part, gnorm)
+        for c, (need_w, need_b) in zip(cols, need_params):
+            grads += (flat.T @ g[:, c] if need_w else None,
+                      g[:, c].sum(axis=0) if need_b else None)
+        return (*_norm_backward(gnorm.reshape(shape), xhat, inv, gain_data, *needs,
+                                normed), *grads)
+
+    inputs = (x, gain, bias, *(t for pair in pairs for t in pair))
+    return _record_op(inputs, out.reshape(shape[:-1] + (lo,)), backward)
+
+
 # Byte budget of one batch block's (heads, n, n) attention maps. A block's
 # maps and the temporaries of the same size then stay in a 2 MiB per-core L2
 # cache; a block holds at least one sample.
 _ATTENTION_BLOCK_BYTES = 512 * 1024
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+def attention(qkv: Tensor, w: Tensor, b: Tensor, heads: int,
               capture: list | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention over (batch, n, dim) inputs.
+    """Multi-head scaled dot-product attention, then its output projection.
 
+    ``qkv`` holds q, k and v side by side along its last axis, (batch, n,
+    3 * dim), as ``norm_linear`` writes them; q, k and v are views of it.
     The feature axis splits into ``heads`` heads of width dh; each head
     computes softmax(q k^T / sqrt(dh)) v with a max-shifted softmax whose
-    normalizer accumulates in 64-bit, and the heads merge back to (batch, n,
-    dim). The batch runs in blocks of ``_ATTENTION_BLOCK_BYTES`` worth of
-    maps, forward and backward, and each block's softmax (and its backward)
-    runs in place in one preallocated block buffer.
-    No (batch, heads, n, n) array is kept for backward: besides q, k and v
-    the tape keeps each row's max and normalizer, (batch, heads, n, 1)
-    each, and backward rebuilds a block's probability maps from them with
-    the forward's own operations, so they are bit-equal to the forward's.
+    normalizer accumulates in 64-bit, and the heads merge back into a
+    (batch, n, dim) ``y``, which leaves through ``y @ w + b`` as ``linear``
+    computes it. The batch runs in blocks of ``_ATTENTION_BLOCK_BYTES`` worth
+    of maps, forward and backward, and each block's softmax (and its
+    backward) runs in place in one preallocated block buffer.
+    Neither ``y`` nor any (batch, heads, n, n) array is kept for backward:
+    besides ``qkv`` the tape keeps each row's max and normalizer, (batch,
+    heads, n, 1) each, and backward rebuilds a block's probability maps, and
+    from them its rows of ``y``, with the forward's own operations, so they
+    are bit-equal to the forward's.
     A ``capture`` list receives the maps as one (batch, heads, n, n) array.
     """
-    if q.data.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+    if qkv.data.ndim != 3 or qkv.data.shape[-1] % 3:
         raise ShapeError(
-            f"attention needs q, k and v of one (batch, n, dim) shape, got "
-            f"{q.shape}, {k.shape} and {v.shape}")
-    batch, n, dim = q.shape
+            f"attention needs qkv of shape (batch, n, 3 * dim), got {qkv.shape}")
+    batch, n, dim = qkv.data.shape
+    dim //= 3
     if heads < 1 or dim % heads:
         raise ShapeError(f"attention dim {dim} does not split into {heads} heads")
+    if w.data.ndim != 2 or w.data.shape[0] != dim or b.data.shape != (w.data.shape[1],):
+        raise ShapeError(
+            f"attention's output projection needs w ({dim}, d_out) and b (d_out,), "
+            f"got {w.shape} and {b.shape}")
     dh = dim // heads
     c = 1.0 / math.sqrt(dh)
-    dtype = q.data.dtype
+    dtype = qkv.data.dtype
 
     def split(a):  # (batch, n, dim) -> (batch, heads, n, dh) view
         return a.reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
 
-    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    def thirds(a):  # (batch, n, 3 * dim) -> the heads of its q, k and v columns
+        return [split(a[..., lo:lo + dim]) for lo in (0, dim, 2 * dim)]
+
+    qs, ks, vs = thirds(qkv.data)
     map_bytes = heads * n * n * dtype.itemsize
     step = min(batch, max(1, _ATTENTION_BLOCK_BYTES // map_bytes))
     blocks = [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
     probs = None if capture is None else np.empty((batch, heads, n, n), dtype)
     shift, norm = np.empty((2, batch, heads, n, 1), dtype)
-    out = np.empty((batch, n, dim), dtype)
-    ys = split(out)
+    y = np.empty((batch, n, dim), dtype)
+    ys = split(y)
 
     def logits(blk, e):
         """Block ``blk``'s scaled logits ``q k^T * c``, written into ``e``."""
@@ -508,19 +590,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         ys[blk] = p @ vs[blk]
     if capture is not None:
         capture.append(probs)
+    out = y.reshape(-1, dim) @ w.data
+    out += b.data
+    wd, need_w, need_b = w.data, w.requires_grad, b.requires_grad
 
     def backward(g):
-        gy = split(g)
-        grads = tuple(np.empty((batch, n, dim), dtype) for _ in range(3))
-        gq, gk, gv = (split(a) for a in grads)
+        g = g.reshape(-1, g.shape[-1])
+        gy = split(g @ wd.T)
+        grad = np.empty((batch, n, 3 * dim), dtype)
+        gq, gk, gv = thirds(grad)
+        y = np.empty((batch, n, dim), dtype) if need_w else None
+        ys = None if y is None else split(y)
         bufs = np.empty((3, step, heads, n, n), dtype)
         for blk in blocks:
             p, glogits, product = bufs[:, :blk.stop - blk.start]
-            # the forward's maps, rebuilt by its own operations
+            # the forward's maps, and its y, rebuilt by its own operations
             logits(blk, p)
             np.subtract(p, shift[blk], out=p)
             np.exp(p, out=p)
             np.divide(p, norm[blk], out=p)
+            if ys is not None:
+                ys[blk] = p @ vs[blk]
             # glogits = (p * (gp - sum(gp * p))) * c, built up in place from gp
             np.matmul(gy[blk], np.swapaxes(vs[blk], -1, -2), out=glogits)
             gv[blk] = np.swapaxes(p, -1, -2) @ gy[blk]
@@ -530,6 +620,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             np.multiply(glogits, c, out=glogits)
             gq[blk] = glogits @ ks[blk]
             gk[blk] = np.swapaxes(np.swapaxes(qs[blk], -1, -2) @ glogits, -1, -2)
-        return grads
+        gw = y.reshape(-1, dim).T @ g if need_w else None
+        gb = g.sum(axis=0) if need_b else None
+        return grad, gw, gb
 
-    return _record_op((q, k, v), out, backward)
+    return _record_op((qkv, w, b), out.reshape(batch, n, wd.shape[1]), backward)

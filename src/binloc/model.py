@@ -231,6 +231,11 @@ class LayerNorm:
     def __call__(self, x: E.Tensor) -> E.Tensor:
         return E.layer_norm(x, self.gain, self.bias)
 
+    def project(self, x: E.Tensor, *linears: Linear) -> E.Tensor:
+        """The norm of ``x`` through each of ``linears``, their outputs side
+        by side along the last axis, as one fused op."""
+        return E.norm_linear(x, self.gain, self.bias, [(m.w, m.b) for m in linears])
+
 
 class SelfAttention:
     def __init__(self, dim: int, heads: int, param: Param, name: str):
@@ -240,9 +245,10 @@ class SelfAttention:
         self.v = Linear(dim, dim, param, f"{name}.v")
         self.out = Linear(dim, dim, param, f"{name}.out")
 
-    def __call__(self, x: E.Tensor, capture: list | None) -> E.Tensor:
-        y = E.attention(self.q(x), self.k(x), self.v(x), self.heads, capture)
-        return self.out(y)
+    def __call__(self, x: E.Tensor, norm: LayerNorm, capture: list | None) -> E.Tensor:
+        """Attention over ``norm(x)``."""
+        qkv = norm.project(x, self.q, self.k, self.v)
+        return E.attention(qkv, self.out.w, self.out.b, self.heads, capture)
 
 
 class Mlp:
@@ -252,8 +258,9 @@ class Mlp:
         self.fc2 = Linear(hidden, dim, param, f"{name}.fc2")
         self.dropout = dropout
 
-    def __call__(self, x: E.Tensor, rng) -> E.Tensor:
-        y = E.dropout(E.gelu(self.fc1(x)), self.dropout, rng)
+    def __call__(self, x: E.Tensor, norm: LayerNorm, rng) -> E.Tensor:
+        """The MLP of ``norm(x)``."""
+        y = E.dropout(E.gelu(norm.project(x, self.fc1)), self.dropout, rng)
         return E.dropout(self.fc2(y), self.dropout, rng)
 
 
@@ -268,8 +275,8 @@ class EncoderBlock:
         self.mlp = Mlp(dim, mlp_dim, dropout, param, f"{name}.mlp")
 
     def __call__(self, x, rng, capture):
-        x = E.add(x, self.attn(self.norm1(x), capture))
-        return E.add(x, self.mlp(self.norm2(x), rng))
+        x = E.add(x, self.attn(x, self.norm1, capture))
+        return E.add(x, self.mlp(x, self.norm2, rng))
 
 
 class EncoderStack:

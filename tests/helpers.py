@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
+from binloc import engine as E
 from binloc.rollout import _upsample_index
 
 
@@ -31,6 +33,47 @@ def central_diff(f, arrays, h=1e-3):
             gflat[i] = (f_plus - f_minus) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def attention_reference(q, k, v, heads, g):
+    """Multi-head softmax attention over (batch, n, dim) arrays as the split
+    -> matmul -> scale -> softmax -> matmul -> merge chain, with each
+    primitive's backward for upstream gradient ``g``. Returns the merged
+    output, the (batch, heads, n, n) maps and the q, k and v gradients."""
+    b, n, d = q.shape
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(t):
+        return t.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    qs, ks, vs = split(q), split(k), split(v)
+    kt = ks.transpose(0, 1, 3, 2)
+    logits = np.matmul(qs, kt) * q.dtype.type(c)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(q.dtype)
+    y = merge(np.matmul(p, vs))
+    gy = split(g)
+    gp = np.matmul(gy, np.swapaxes(vs, -1, -2))
+    gv = np.matmul(np.swapaxes(p, -1, -2), gy)
+    glogits = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
+    gq = np.matmul(glogits, np.swapaxes(kt, -1, -2))
+    gk = np.matmul(np.swapaxes(qs, -1, -2), glogits).transpose(0, 1, 3, 2)
+    return y, p, (merge(gq), merge(gk), merge(gv))
+
+
+def recorded_attention_reference(q, k, v, heads, capture=None):
+    """``attention_reference`` on tensors q, k and v, recorded as one tape
+    node; a ``capture`` list receives its maps."""
+    qd, kd, vd = q.data, k.data, v.data
+    y, p, _ = attention_reference(qd, kd, vd, heads, np.zeros_like(qd))
+    if capture is not None:
+        capture.append(p)
+    return E._record_op((q, k, v), y,
+                        lambda g: attention_reference(qd, kd, vd, heads, g)[2])
 
 
 def upsample_grid(grid, height, width, patch, stride):

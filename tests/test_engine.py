@@ -1,6 +1,5 @@
 """Tensor engine: forward contracts and gradient oracles."""
 
-import math
 import threading
 import weakref
 import zlib
@@ -10,9 +9,15 @@ import pytest
 from scipy.special import erf
 
 from binloc import engine as E
+from binloc.model import EncoderBlock
 from binloc.optim import AdamState, OptimizerError, adam_step, cosine_lr
 
-from helpers import central_diff, max_rel_err
+from helpers import (
+    attention_reference,
+    central_diff,
+    max_rel_err,
+    recorded_attention_reference,
+)
 
 
 def _param(rng, shape):
@@ -78,10 +83,18 @@ class TestMatmul:
         assert a.grad.shape == (4, 2, 5, 6)
 
 
+def _attend(q, k, v, heads, capture=None):
+    """``attention`` over q, k and v joined by ``concat``, with an identity
+    out-projection, which passes the merged heads through bit for bit."""
+    d = q.shape[-1]
+    return E.attention(E.concat([q, k, v]), E.tensor(np.eye(d), dtype=q.dtype),
+                       E.tensor(np.zeros(d), dtype=q.dtype), heads, capture)
+
+
 def _attention_maps(q, k, heads=1):
     """The softmax maps of ``attention`` over ``q`` and ``k`` (v = q)."""
     capture = []
-    E.attention(q, k, q, heads, capture)
+    _attend(q, k, q, heads, capture)
     return capture[0]
 
 
@@ -114,7 +127,7 @@ class TestSoftmax:
         # the heads must split the feature axis evenly
         x = E.tensor(np.zeros((1, 2, 6)))
         with pytest.raises(E.ShapeError, match="6 does not split into 4 heads"):
-            E.attention(x, x, x, heads=4)
+            _attend(x, x, x, heads=4)
 
     def test_gradient(self):
         # with v = I (one head as wide as the sequence) the output is the maps
@@ -126,7 +139,7 @@ class TestSoftmax:
 
         def run():
             with E.Graph() as g:
-                out = E.attention(q, k, v, heads=1)
+                out = _attend(q, k, v, heads=1)
                 loss = E.tsum(E.mul(out, E.tensor(w, dtype=np.float64)))
             return g, loss
 
@@ -436,17 +449,21 @@ def test_sum_and_mean_match_numpy_bitwise(dtype, axis, mean):
 
 
 @pytest.mark.parametrize("opname", ["add", "sub", "mul", "tmean", "concat",
-                                    "linear", "attention"])
+                                    "linear", "norm_linear", "attention"])
 def test_op_gradients_match_finite_differences(opname):
     # str hash() is salted per process; crc32 keeps the inputs fixed
     rng = np.random.default_rng(zlib.crc32(opname.encode()))
     a = E.parameter(rng.uniform(0.3, 1.7, (4, 6)), dtype=np.float64)
     b = E.parameter(rng.uniform(0.3, 1.7, (4, 6)), dtype=np.float64)
     # the fused ops take 3-D inputs: (batch, n, features)
-    x, y, z = (E.parameter(rng.uniform(0.3, 1.7, (2, 3, 6)), dtype=np.float64)
-               for _ in range(3))
+    x = E.parameter(rng.uniform(0.3, 1.7, (2, 3, 6)), dtype=np.float64)
     w = E.parameter(rng.uniform(-1.0, 1.0, (6, 5)), dtype=np.float64)
     bias = E.parameter(rng.uniform(-1.0, 1.0, (5,)), dtype=np.float64)
+    # q, k and v side by side, and a second map and the norm's affine
+    qkv = E.parameter(rng.uniform(0.3, 1.7, (2, 3, 18)), dtype=np.float64)
+    w2 = E.parameter(rng.uniform(-1.0, 1.0, (6, 4)), dtype=np.float64)
+    b2, gain, shift = (E.parameter(rng.uniform(-1.0, 1.0, (m,)), dtype=np.float64)
+                       for m in (4, 6, 6))
 
     def build():
         if opname == "add":
@@ -461,8 +478,11 @@ def test_op_gradients_match_finite_differences(opname):
             return E.concat([a, b]), [a, b]
         if opname == "linear":
             return E.linear(x, w, bias), [x, w, bias]
+        if opname == "norm_linear":
+            return (E.norm_linear(x, gain, shift, [(w, bias), (w2, b2)]),
+                    [x, gain, shift, w, bias, w2, b2])
         if opname == "attention":
-            return E.attention(x, y, z, heads=2, capture=[]), [x, y, z]
+            return E.attention(qkv, w, bias, heads=2, capture=[]), [qkv, w, bias]
         raise AssertionError(opname)
 
     def run():
@@ -486,34 +506,6 @@ def _old_linear_chain(x, w, b, g):
     g2 = g.reshape(-1, w.shape[1])
     gx = np.matmul(g2, np.swapaxes(w, -1, -2)).reshape(x.shape)
     return y, (gx, np.matmul(np.swapaxes(flat, -1, -2), g2), g2.sum(axis=(0,)))
-
-
-def _old_attention_chain(q, k, v, heads, g):
-    """The split -> matmul -> scale -> softmax -> matmul -> merge chain
-    ``attention`` replaced, with each primitive's backward."""
-    b, n, d = q.shape
-    dh = d // heads
-    c = 1.0 / math.sqrt(dh)
-
-    def split(t):
-        return t.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(t):
-        return t.transpose(0, 2, 1, 3).reshape(b, n, d)
-
-    qs, ks, vs = split(q), split(k), split(v)
-    kt = ks.transpose(0, 1, 3, 2)
-    logits = np.matmul(qs, kt) * q.dtype.type(c)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(q.dtype)
-    y = merge(np.matmul(p, vs))
-    gy = split(g)
-    gp = np.matmul(gy, np.swapaxes(vs, -1, -2))
-    gv = np.matmul(np.swapaxes(p, -1, -2), gy)
-    glogits = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
-    gq = np.matmul(glogits, np.swapaxes(kt, -1, -2))
-    gk = np.matmul(np.swapaxes(qs, -1, -2), glogits).transpose(0, 1, 3, 2)
-    return y, p, (merge(gq), merge(gk), merge(gv))
 
 
 def _closure_arrays(fn):
@@ -586,83 +578,199 @@ class TestFusedOps:
         for got, want in zip(grads, ref_grads):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("x_dtype,p_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64)])
+    @pytest.mark.parametrize("widths", [(24,), (16, 16, 16)])
+    @pytest.mark.parametrize("n", [55, 180])
+    def test_norm_linear_matches_layer_norm_then_linears_bitwise(
+            self, x_dtype, p_dtype, widths, n):
+        # the parent's sequence: one layer_norm node, then one linear node per
+        # map, whose input gradients the tape sums last map first
+        rng = np.random.default_rng(29)
+        x = (rng.standard_normal((2, n, 16)) * 3 + 1).astype(x_dtype)
+        arrays = [x] + [rng.standard_normal(16).astype(p_dtype) for _ in range(2)]
+        for d in widths:
+            arrays += [(rng.standard_normal((16, d)) * 0.2).astype(p_dtype),
+                       rng.standard_normal(d).astype(p_dtype)]
+
+        def fused(x, gain, bias, *wb):
+            return E.norm_linear(x, gain, bias, list(zip(wb[::2], wb[1::2])))
+
+        def parent(x, gain, bias, *wb):
+            h = E.layer_norm(x, gain, bias)
+            return E.concat([E.linear(h, w, b) for w, b in zip(wb[::2], wb[1::2])])
+
+        shape = (2, n, sum(widths))
+        out, grads, _ = _run_fused(fused, arrays, shape, 30)
+        ref, ref_grads, _ = _run_fused(parent, arrays, shape, 30)
+        assert out.dtype == ref.dtype and np.array_equal(out, ref)
+        for got, want in zip(grads, ref_grads):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_norm_linear_keeps_only_xhat_and_inv(self):
+        rng = np.random.default_rng(31)
+        x, gain, bias = _param(rng, (3, 7, 8)), _param(rng, (8,)), _param(rng, (8,))
+        pairs = [(_param(rng, (8, 8)), _param(rng, (8,))) for _ in range(3)]
+        with E.Graph() as g:
+            E.norm_linear(x, gain, bias, pairs)
+        ((_parents, backward),) = g._nodes
+        params = {id(t.data) for t in (gain, bias, *(t for p in pairs for t in p))}
+        kept = [a for a in _closure_arrays(backward) if id(a) not in params]
+        assert sorted(a.shape for a in kept) == [(3, 7, 1), (3, 7, 8)]
+
     @staticmethod
     def _check_attention_against_old_chain(shape, heads, dtype):
+        # the parent's sequence: softmax attention, then its out-projection
+        # as a separate linear
         rng = np.random.default_rng(22)
         q, k, v = (rng.standard_normal(shape).astype(dtype) for _ in range(3))
+        b, n, d = shape
+        w = (rng.standard_normal((d, d + 4)) * 0.2).astype(dtype)
+        bias = rng.standard_normal(d + 4).astype(dtype)
+        qkv = np.concatenate([q, k, v], axis=-1)
+        y, ref_maps, _ = attention_reference(q, k, v, heads, np.zeros_like(q))
         # backward rebuilds the maps, with or without a capture list
         for capture in ([], None):
             out, grads, g = _run_fused(
                 lambda *t: E.attention(*t, heads=heads, capture=capture),
-                (q, k, v), shape, 23)
-            ref, ref_maps, ref_grads = _old_attention_chain(q, k, v, heads,
-                                                            g.astype(dtype))
+                (qkv, w, bias), (b, n, d + 4), 23)
+            ref, (gy, gw, gb) = _old_linear_chain(y, w, bias, g.astype(dtype))
+            _, _, qkv_grads = attention_reference(q, k, v, heads, gy)
+            ref_grads = (np.concatenate(qkv_grads, axis=-1), gw, gb)
             assert out.dtype == dtype and np.array_equal(out, ref)
             if capture is not None:
                 assert np.array_equal(capture[0], ref_maps)
             for got, want in zip(grads, ref_grads):
                 assert got.dtype == dtype and np.array_equal(got, want)
         # neither capture nor tape: the softmax ends in the block buffer
-        plain = E.attention(E.tensor(q), E.tensor(k), E.tensor(v), heads=heads)
+        plain = E.attention(E.tensor(qkv), E.tensor(w), E.tensor(bias), heads=heads)
         assert np.array_equal(plain.data, ref)
 
     def test_attention_matches_old_chain_bitwise(self, monkeypatch):
         self._check_attention_against_old_chain((5, 19, 16), 4, np.float32)
         self._check_attention_against_old_chain((5, 19, 16), 4, np.float64)
-        # a stride-6 rollout: 180 patches at batch 1
+        # desk and stride-6 patch counts
+        self._check_attention_against_old_chain((3, 55, 32), 4, np.float32)
+        self._check_attention_against_old_chain((2, 55, 32), 4, np.float64)
         self._check_attention_against_old_chain((1, 180, 128), 4, np.float32)
+        self._check_attention_against_old_chain((2, 180, 32), 4, np.float64)
         # blocks of 2 samples: the last block is short
         monkeypatch.setattr(E, "_ATTENTION_BLOCK_BYTES", 2 * 4 * 19 * 19 * 4)
         self._check_attention_against_old_chain((5, 19, 16), 4, np.float32)
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(24)
-        q, k, v = (rng.standard_normal((5, 23, 12)).astype(np.float32)
-                   for _ in range(3))
+        qkv = rng.standard_normal((5, 23, 36)).astype(np.float32)
+        w = rng.standard_normal((12, 12)).astype(np.float32)
+        bias = rng.standard_normal(12).astype(np.float32)
         map_bytes = 3 * 23 * 23 * 4
         runs = []
         for samples in (1, 2, 5):
             monkeypatch.setattr(E, "_ATTENTION_BLOCK_BYTES", samples * map_bytes)
             capture = []
             out, grads, _ = _run_fused(
-                lambda *t: E.attention(*t, heads=3, capture=capture), (q, k, v),
-                (5, 23, 12), 25)
+                lambda *t: E.attention(*t, heads=3, capture=capture),
+                (qkv, w, bias), (5, 23, 12), 25)
             runs.append((out, capture[0], *grads))
         for other in runs[1:]:
             for got, want in zip(other, runs[0]):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [55, 180])
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_encoder_block_matches_parent_op_sequence_bitwise(
+            self, dtype, n, shared, dropout):
+        # a shared ear pathway runs both ears through one block on one tape
+        rng = np.random.default_rng(32)
+        params = []
+
+        def param(name, shape, fill):
+            data = rng.standard_normal(shape) * 0.3 + (fill == "ones")
+            params.append(E.parameter(data, name=name, dtype=dtype))
+            return params[-1]
+
+        block = EncoderBlock(32, 4, 64, dropout, param, "block")
+        ears = [rng.standard_normal((2, n, 32)) for _ in range(1 + shared)]
+        weights = [rng.standard_normal((2, n, 32)) for _ in ears]
+
+        def parent(x, drop_rng, capture):
+            a, m = block.attn, block.mlp
+            h = E.layer_norm(x, block.norm1.gain, block.norm1.bias)
+            y = recorded_attention_reference(*(E.linear(h, t.w, t.b) for t in (a.q, a.k, a.v)),
+                                             a.heads, capture)
+            x = E.add(x, E.linear(y, a.out.w, a.out.b))
+            h = E.layer_norm(x, block.norm2.gain, block.norm2.bias)
+            h = E.dropout(E.gelu(E.linear(h, m.fc1.w, m.fc1.b)), m.dropout, drop_rng)
+            return E.add(x, E.dropout(E.linear(h, m.fc2.w, m.fc2.b), m.dropout, drop_rng))
+
+        def run(step):
+            xs = [E.parameter(x, dtype=dtype) for x in ears]
+            drop_rng, capture = np.random.default_rng(33), []
+            with E.Graph() as g:
+                outs = [step(x, drop_rng, capture) for x in xs]
+                loss = E.tsum(E.concat([E.tsum(E.mul(out, E.tensor(wt, dtype=dtype)), axis=0)
+                                        for out, wt in zip(outs, weights)]))
+            g.backward(loss)
+            grads = [p.grad for p in params] + [x.grad for x in xs]
+            for p in params:
+                p.grad = None
+            return [out.data for out in outs] + capture + grads
+
+        got, want = run(block), run(parent)
+        assert len(got) == len(want) == 3 * len(ears) + len(params)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
 
     def test_linear_bias_shape_checked(self):
         with pytest.raises(E.ShapeError, match=r"\(4,\)"):
             E.linear(E.tensor(np.zeros((2, 3))), E.tensor(np.zeros((3, 5))),
                      E.tensor(np.zeros(4)))
 
+    def test_norm_linear_shapes_checked(self):
+        x, ones = E.tensor(np.zeros((2, 3, 4))), E.tensor(np.ones(4))
+        w, b = E.tensor(np.zeros((4, 5))), E.tensor(np.zeros(5))
+        with pytest.raises(E.ShapeError, match=r"\(2, 3, 4\), \(3, 5\) and \(5,\)"):
+            E.norm_linear(x, ones, ones, [(w, b), (E.tensor(np.zeros((3, 5))), b)])
+        with pytest.raises(E.ShapeError, match=r"\(4, 5\) and \(4,\)"):
+            E.norm_linear(x, ones, ones, [(w, ones)])
+        with pytest.raises(E.ShapeError, match=r"must have shape \(4,\)"):
+            E.norm_linear(x, ones, E.tensor(np.ones(3)), [(w, b)])
+
     def test_attention_operand_shapes_checked(self):
-        q = E.tensor(np.zeros((2, 3, 4)))
-        with pytest.raises(E.ShapeError, match=r"\(2, 3, 4\).*\(2, 5, 4\)"):
-            E.attention(q, E.tensor(np.zeros((2, 5, 4))), q, heads=2)
-        with pytest.raises(E.ShapeError, match="batch, n, dim"):
-            E.attention(E.tensor(np.zeros((3, 4))), E.tensor(np.zeros((3, 4))),
-                        E.tensor(np.zeros((3, 4))), heads=2)
+        w, b = E.tensor(np.zeros((4, 4))), E.tensor(np.zeros(4))
+        with pytest.raises(E.ShapeError, match=r"3 \* dim\), got \(2, 3, 10\)"):
+            E.attention(E.tensor(np.zeros((2, 3, 10))), w, b, heads=2)
+        with pytest.raises(E.ShapeError, match=r"3 \* dim\), got \(3, 12\)"):
+            E.attention(E.tensor(np.zeros((3, 12))), w, b, heads=2)
+        qkv = E.tensor(np.zeros((2, 3, 12)))
+        with pytest.raises(E.ShapeError, match=r"w \(4, d_out\).*\(5, 4\) and \(4,\)"):
+            E.attention(qkv, E.tensor(np.zeros((5, 4))), b, heads=2)
+        with pytest.raises(E.ShapeError, match=r"\(4, 4\) and \(3,\)"):
+            E.attention(qkv, w, E.tensor(np.zeros(3)), heads=2)
 
     def test_recorded_attention_keeps_no_maps(self, monkeypatch):
-        # besides q, k and v, backward keeps each row's max and normalizer
+        # besides qkv and the out-projection's weight, backward keeps each
+        # row's max and normalizer: no maps, and not the heads' merged output
         monkeypatch.setattr(E, "_ATTENTION_BLOCK_BYTES", 2 * 2 * 17 * 17 * 8)
         rng = np.random.default_rng(28)
         b, n, d, heads = 3, 17, 8, 2
-        q, k, v = (_param(rng, (b, n, d)) for _ in range(3))
+        qkv, w, bias = _param(rng, (b, n, 3 * d)), _param(rng, (d, d)), _param(rng, (d,))
         with E.Graph() as g:
-            E.attention(q, k, v, heads=heads)
+            E.attention(qkv, w, bias, heads=heads)
         ((_parents, backward),) = g._nodes
         kept = _closure_arrays(backward)
         assert kept
         for a in kept:
             storage = a if a.base is None else a.base
-            assert storage.size <= b * n * d, a.shape
+            assert (storage is qkv.data or storage is w.data
+                    or storage.size <= 2 * b * heads * n), a.shape
 
     def test_eval_attention_keeps_no_maps(self):
         q = E.tensor(np.ones((1, 3, 4)))
-        out = E.attention(q, q, q, heads=2)
+        out = _attend(q, q, q, heads=2)
         assert out.requires_grad is False
         np.testing.assert_allclose(out.data, 1.0, atol=1e-6)
 

@@ -323,27 +323,28 @@ class TestForward:
         with pytest.raises(ConfigError, match="shape"):
             model.predict(np.zeros((1, 10, 10)), np.zeros((1, 10, 10)))
 
-    def test_desk_step_records_117_tape_nodes(self):
-        # one node per Linear, attention, layer norm, GELU, residual add,
-        # integration and pool op, and one for the loss
+    def test_desk_step_records_72_tape_nodes(self):
+        # one node per pre-norm projection (the q/k/v or fc1 maps fused with
+        # their layer norm), attention with its out-projection, other Linear,
+        # GELU, residual add, integration and pool op, and one for the loss
         cfg = desk_profile()
         model = BinauralTransformer(cfg.model, seed=0)
         x = np.zeros((2, cfg.model.height, cfg.model.width))
         with E.Graph() as g:
             pred = model.forward(x, x, rng=np.random.default_rng(0))
             make_loss(cfg.loss)(np.ones((2, 2)), pred)
-        assert len(g) == 117
+        assert len(g) == 72
 
-    def test_desk_tape_holds_at_most_50_mib(self):
-        # the tape keeps neither attention maps nor GELU inputs; keeping
-        # them as well takes this forward's tape to 63.1 MiB
-        cfg = desk_profile()
-        model = BinauralTransformer(cfg.model, seed=0)
+    @staticmethod
+    def _tape_bytes(model_cfg, loss_cfg, batch):
+        """Bytes held after a recorded forward plus loss at ``batch``, and
+        the tape's node count."""
+        model = BinauralTransformer(model_cfg, seed=0)
         rng = np.random.default_rng(0)
-        xl, xr = (rng.standard_normal((16, cfg.model.height, cfg.model.width))
+        xl, xr = (rng.standard_normal((batch, model_cfg.height, model_cfg.width))
                   .astype(np.float32) for _ in range(2))
-        target = np.tile(np.float32([[0.0, 1.0]]), (16, 1))
-        loss_fn = make_loss(cfg.loss)
+        target = np.tile(np.float32([[0.0, 1.0]]), (batch, 1))
+        loss_fn = make_loss(loss_cfg)
         tracemalloc.start()
         try:
             with E.Graph() as g:
@@ -351,8 +352,27 @@ class TestForward:
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(g) == 117
+        return kept, len(g)
+
+    def test_desk_tape_holds_at_most_50_mib(self):
+        # the tape keeps no attention maps, GELU inputs, layer-norm outputs
+        # or merged attention heads; keeping the maps and GELU inputs as well
+        # took this forward's tape to 63.1 MiB
+        cfg = desk_profile()
+        kept, nodes = self._tape_bytes(cfg.model, cfg.loss, 16)
+        assert nodes == 72
         assert kept <= 50 * 2**20, kept / 2**20
+
+    def test_stride6_shared_concat_tape_holds_at_most_75_mib(self):
+        # the rollout model's train call: 180 patches per ear, and a center
+        # encoder twice as wide; keeping each layer norm's output and the
+        # merged attention heads took this tape to 97.6 MiB
+        cfg = desk_profile()
+        model_cfg = dataclasses.replace(cfg.model, stride=6, shared=True,
+                                        integration="concat")
+        kept, nodes = self._tape_bytes(model_cfg, cfg.loss, 8)
+        assert nodes == 72
+        assert kept <= 75 * 2**20, kept / 2**20
 
 
 class TestSharedEarPasses:
