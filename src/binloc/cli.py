@@ -6,9 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
-import platform
 import sys
 from pathlib import Path
 
@@ -303,31 +301,7 @@ _COMMANDS = {
 }
 
 
-# glibc mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-@functools.cache  # once per process
-def _keep_freed_heap() -> None:
-    """Let glibc keep freed activation memory for the next allocation.
-
-    By default glibc serves large blocks with mmap and returns freed heap
-    tops to the kernel, so every forward pass faults its activations back
-    in. Blocks up to 32 MiB come from the heap instead, and up to 128 MiB
-    of free heap top is kept. Both thresholds are set together: setting
-    either one turns off glibc's adjustment of both, and either alone faults
-    more than the default. Elsewhere than glibc this does nothing.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    libc = ctypes.CDLL(None)
-    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    libc.mallopt(_M_TRIM_THRESHOLD, 128 << 20)
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

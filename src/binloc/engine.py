@@ -25,15 +25,12 @@ __all__ = [
     "ShapeError",
     "GraphError",
     "ParameterError",
-    "tensor",
     "parameter",
     "add",
     "sub",
-    "mul",
     "gelu",
     "layer_norm",
     "dropout",
-    "tsum",
     "tmean",
     "concat",
     "linear",
@@ -107,11 +104,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
-
-
-def tensor(data, dtype=None) -> Tensor:
-    """Wrap raw data as a constant (non-trainable) tensor."""
-    return Tensor(data, requires_grad=False, dtype=dtype)
 
 
 def parameter(data, name: str | None = None, dtype=None) -> Tensor:
@@ -264,20 +256,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _add_or_sub(a, b, np.subtract)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-    ad, bd = a.data, b.data
-    sa, sb = a.shape, b.shape
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def backward(g):
-        ga = _unbroadcast(g * bd, sa) if need_a else None
-        gb = _unbroadcast(g * ad, sb) if need_b else None
-        return ga, gb
-
-    return _record_op((a, b), out, backward)
-
-
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit: 0.5 * x * (1 + erf(x / sqrt(2))).
 
@@ -391,32 +369,20 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 # reductions and shape ops
 
 
-def _sum_or_mean(a: Tensor, axis: int | None, mean: bool) -> Tensor:
-    """The float64 sum of ``a`` over ``axis`` (every axis for None), divided
-    by the count of summed elements when ``mean``, cast back to ``a``'s
-    dtype. This is numpy's own ``mean``, without its Python wrapper."""
+def tmean(a: Tensor, axis: int | None = None) -> Tensor:
+    """The mean of ``a`` over ``axis`` (every axis for None): a float64 sum
+    divided by the count, cast back to ``a``'s dtype. This is numpy's own
+    ``mean``, without its Python wrapper."""
     count = a.data.size if axis is None else a.data.shape[axis]
-    out = a.data.sum(axis=axis, dtype=np.float64)
-    if mean:
-        out = out / count
+    out = a.data.sum(axis=axis, dtype=np.float64) / count
     shape, dtype = a.shape, a.dtype
 
     def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        if mean:
-            g = g / count
-        return (np.broadcast_to(g, shape).astype(dtype, copy=False).copy(),)
+        return (np.broadcast_to(g / count, shape).astype(dtype, copy=False).copy(),)
 
     return _record_op((a,), out.astype(dtype), backward)
-
-
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    return _sum_or_mean(a, axis, mean=False)
-
-
-def tmean(a: Tensor, axis: int | None = None) -> Tensor:
-    return _sum_or_mean(a, axis, mean=True)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
@@ -431,7 +397,6 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
         return tuple(np.split(g, splits, axis=-1))
 
     return _record_op(tuple(tensors), out, backward)
-
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +531,7 @@ def attention(qkv: Tensor, w: Tensor, b: Tensor, heads: int,
 
     qs, ks, vs = thirds(qkv.data)
     map_bytes = heads * n * n * dtype.itemsize
-    step = min(batch, max(1, _ATTENTION_BLOCK_BYTES // map_bytes))
+    step = max(1, min(batch, _ATTENTION_BLOCK_BYTES // map_bytes))
     blocks = [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
     probs = None if capture is None else np.empty((batch, heads, n, n), dtype)
     shift, norm = np.empty((2, batch, heads, n, 1), dtype)

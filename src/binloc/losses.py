@@ -82,9 +82,9 @@ def hybrid_loss(target: np.ndarray, pred: E.Tensor, alpha: float = 0.5,
                 epsilon: float = COS_CLAMP) -> E.Tensor:
     """alpha * angular + (1 - alpha) * squared distance, as one tape node.
 
-    Each term is the batch mean that ``sub``, ``mul``, ``tsum`` and ``tmean``
-    would give, so alpha 0 and 1 are exactly the two losses; alpha 0 does
-    no angular work, so it accepts a zero-norm target.
+    Each term is a batch mean of per-row sums taken in float64 and cast
+    back to the prediction's dtype. A term of weight 0 is not computed, so
+    alpha 0 does no angular work and accepts a zero-norm target.
     """
     if not 0.0 <= alpha <= 1.0:
         raise LossError(f"alpha must be in [0, 1], got {alpha}")

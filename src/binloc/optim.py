@@ -17,18 +17,18 @@ class OptimizerError(RuntimeError):
     """Raised when an update cannot be applied (non-finite gradients...)."""
 
 
+# the standard Adam recipe's moment decays and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second-moment accumulators plus hyperparameters.
-
-    Defaults follow the standard Adam recipe: beta1=0.9, beta2=0.999,
-    eps=1e-8, with bias-corrected moment estimates.
-    """
+    """The learning rate plus first/second-moment accumulators; the update
+    uses ``BETA1``, ``BETA2`` and ``EPS`` with bias-corrected moments."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[int, np.ndarray] = field(default_factory=dict)
     v: dict[int, np.ndarray] = field(default_factory=dict)
@@ -73,8 +73,8 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
 
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
 
     for p, g in checked:
         key = id(p)
@@ -84,20 +84,20 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
             state.m[key] = m
             state.v[key] = np.zeros_like(p.data)
         v = state.v[key]
-        # m += (1 - beta1) * g and v += (1 - beta2) * g * g, then
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), through one scratch
+        # m += (1 - BETA1) * g and v += (1 - BETA2) * g * g, then
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS), through one scratch
         # array and the update itself
-        scratch = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
+        scratch = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
         m += scratch
         np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - state.beta2
-        v *= state.beta2
+        scratch *= 1.0 - BETA2
+        v *= BETA2
         v += scratch
         update = np.divide(m, bc1)
         update *= state.lr
         np.divide(v, bc2, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += state.eps
+        scratch += EPS
         update /= scratch
         p.data -= update

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 SAMPLE_RATE = 16000
+SOURCE_SECONDS = 0.5
 AZIMUTH_GRID = tuple(range(0, 360, 10))
 SOURCE_KINDS = ("white-noise", "tone-complex", "am-noise", "chirp")
 _WAV_SCALE = 8192.0  # int16 headroom for summed reflections
@@ -80,10 +81,6 @@ class LocalizationTarget:
             raise SpatialError(
                 f"environment must be {' or '.join(map(repr, ENVIRONMENTS))}, "
                 f"got {self.environment!r}")
-
-    @property
-    def coordinate(self) -> np.ndarray:
-        return azimuth_to_xy(self.azimuth)
 
 
 @dataclass(frozen=True)
@@ -128,14 +125,14 @@ def reverberant_scene() -> SceneConfig:
 # source synthesis
 
 
-def make_source(kind: str, duration: float = 0.5, seed: int = 0,
-                sample_rate: int = SAMPLE_RATE) -> Waveform:
-    """Deterministic mono test sound, peak-normalized to 0.9."""
+def make_source(kind: str, seed: int = 0) -> Waveform:
+    """Deterministic mono test sound of ``SOURCE_SECONDS`` at ``SAMPLE_RATE``,
+    peak-normalized to 0.9."""
     if kind not in SOURCE_KINDS:
         raise SpatialError(f"unknown source kind {kind!r}; choose {SOURCE_KINDS}")
     rng = np.random.default_rng(seed)
-    n = int(round(duration * sample_rate))
-    t = np.arange(n) / sample_rate
+    n = int(round(SOURCE_SECONDS * SAMPLE_RATE))
+    t = np.arange(n) / SAMPLE_RATE
     if kind == "white-noise":
         x = rng.standard_normal(n)
     elif kind == "tone-complex":
@@ -150,9 +147,9 @@ def make_source(kind: str, duration: float = 0.5, seed: int = 0,
     else:  # chirp
         f0 = rng.uniform(200.0, 1000.0)
         f1 = rng.uniform(2000.0, 7000.0)
-        x = np.sin(2 * np.pi * (f0 * t + 0.5 * (f1 - f0) / duration * t * t))
+        x = np.sin(2 * np.pi * (f0 * t + 0.5 * (f1 - f0) / SOURCE_SECONDS * t * t))
     x *= 0.9 / np.max(np.abs(x))
-    return Waveform(x, sample_rate)
+    return Waveform(x, SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,35 @@ def central_diff(f, arrays, h=1e-3):
     return grads
 
 
+def mul(a, b):
+    """The elementwise product ``a * b`` as one tape node, with numpy
+    broadcasting: a probe that weights an op's output for a scalar loss."""
+    ad, bd = a.data, b.data
+    sa, sb = a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def backward(g):
+        return (E._unbroadcast(g * bd, sa) if need_a else None,
+                E._unbroadcast(g * ad, sb) if need_b else None)
+
+    return E._record_op((a, b), ad * bd, backward)
+
+
+def tsum(a, axis=None):
+    """The sum of ``a`` over ``axis`` (every axis for None) as one tape node:
+    a float64 sum cast back to ``a``'s dtype, as ``E.tmean`` takes it, whose
+    backward spreads the upstream gradient over the summed axis."""
+    shape, dtype = a.shape, a.dtype
+
+    def backward(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=False).copy(),)
+
+    return E._record_op((a,), a.data.sum(axis=axis, dtype=np.float64).astype(dtype),
+                        backward)
+
+
 def attention_reference(q, k, v, heads, g):
     """Multi-head softmax attention over (batch, n, dim) arrays as the split
     -> matmul -> scale -> softmax -> matmul -> merge chain, with each

@@ -16,7 +16,9 @@ from helpers import (
     attention_reference,
     central_diff,
     max_rel_err,
+    mul,
     recorded_attention_reference,
+    tsum,
 )
 
 
@@ -25,32 +27,32 @@ def _param(rng, shape):
 
 
 def _zero_bias(n):
-    return E.tensor(np.zeros(n), dtype=np.float64)
+    return E.Tensor(np.zeros(n), dtype=np.float64)
 
 
 def _times(a, c):
     """``a`` times the constant ``c``, held in a tensor of ``a``'s dtype."""
-    return E.mul(a, E.tensor(c, dtype=a.dtype))
+    return mul(a, E.Tensor(c, dtype=a.dtype))
 
 
 class TestMatmul:
     """The GEMM inside ``linear``, seen with a zero bias."""
 
     def test_identity(self):
-        eye = E.tensor([[1.0, 0.0], [0.0, 1.0]])
-        m = E.tensor([[3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_allclose(E.linear(m, eye, E.tensor(np.zeros(2))).data, m.data)
+        eye = E.Tensor([[1.0, 0.0], [0.0, 1.0]])
+        m = E.Tensor([[3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_allclose(E.linear(m, eye, E.Tensor(np.zeros(2))).data, m.data)
 
     def test_hand_example(self):
-        a = E.tensor([[1.0, 2.0]])
-        b = E.tensor([[3.0], [4.0]])
-        np.testing.assert_allclose(E.linear(a, b, E.tensor([0.0])).data, [[11.0]])
+        a = E.Tensor([[1.0, 2.0]])
+        b = E.Tensor([[3.0], [4.0]])
+        np.testing.assert_allclose(E.linear(a, b, E.Tensor([0.0])).data, [[11.0]])
 
     def test_shape_error_names_both_shapes(self):
-        a = E.tensor(np.zeros((2, 3)))
-        b = E.tensor(np.zeros((4, 5)))
+        a = E.Tensor(np.zeros((2, 3)))
+        b = E.Tensor(np.zeros((4, 5)))
         with pytest.raises(E.ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-            E.linear(a, b, E.tensor(np.zeros(5)))
+            E.linear(a, b, E.Tensor(np.zeros(5)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -61,7 +63,7 @@ class TestMatmul:
         def run():
             with E.Graph() as g:
                 out = E.linear(a, b, _zero_bias(3))
-                loss = E.tsum(E.mul(out, E.tensor(w, dtype=np.float64)))
+                loss = tsum(mul(out, E.Tensor(w, dtype=np.float64)))
             return g, loss
 
         g, loss = run()
@@ -77,7 +79,7 @@ class TestMatmul:
         out = E.linear(a, b, _zero_bias(3))
         assert out.shape == (4, 2, 5, 3)
         with E.Graph() as g:
-            loss = E.tsum(E.linear(a, b, _zero_bias(3)))
+            loss = tsum(E.linear(a, b, _zero_bias(3)))
         g.backward(loss)
         assert b.grad.shape == (6, 3)
         assert a.grad.shape == (4, 2, 5, 6)
@@ -87,8 +89,8 @@ def _attend(q, k, v, heads, capture=None):
     """``attention`` over q, k and v joined by ``concat``, with an identity
     out-projection, which passes the merged heads through bit for bit."""
     d = q.shape[-1]
-    return E.attention(E.concat([q, k, v]), E.tensor(np.eye(d), dtype=q.dtype),
-                       E.tensor(np.zeros(d), dtype=q.dtype), heads, capture)
+    return E.attention(E.concat([q, k, v]), E.Tensor(np.eye(d), dtype=q.dtype),
+                       E.Tensor(np.zeros(d), dtype=q.dtype), heads, capture)
 
 
 def _attention_maps(q, k, heads=1):
@@ -102,22 +104,22 @@ class TestSoftmax:
     """The softmax inside ``attention``, seen through its captured maps."""
 
     def test_uniform(self):
-        q = E.tensor(np.zeros((1, 3, 2)))
-        out = _attention_maps(q, E.tensor(np.ones((1, 3, 2))))
+        q = E.Tensor(np.zeros((1, 3, 2)))
+        out = _attention_maps(q, E.Tensor(np.ones((1, 3, 2))))
         np.testing.assert_allclose(out, 1 / 3, atol=1e-7)
 
     def test_large_input_stable(self):
         # one head of width 1: the logits are q_i * k_j = [1000, 0] in every row
-        q = E.tensor(np.ones((1, 2, 1)), dtype=np.float64)
-        k = E.tensor([[[1000.0], [0.0]]], dtype=np.float64)
+        q = E.Tensor(np.ones((1, 2, 1)), dtype=np.float64)
+        k = E.Tensor([[[1000.0], [0.0]]], dtype=np.float64)
         out = _attention_maps(q, k)
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out[0, 0], [[1.0, 0.0], [1.0, 0.0]], atol=1e-12)
 
     def test_rows_sum_to_one_and_positive(self):
         rng = np.random.default_rng(5)
-        q = E.tensor(rng.standard_normal((2, 17, 8)) * 2)
-        k = E.tensor(rng.standard_normal((2, 17, 8)) * 2)
+        q = E.Tensor(rng.standard_normal((2, 17, 8)) * 2)
+        k = E.Tensor(rng.standard_normal((2, 17, 8)) * 2)
         out = _attention_maps(q, k, heads=2)
         assert out.shape == (2, 2, 17, 17)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
@@ -125,7 +127,7 @@ class TestSoftmax:
 
     def test_invalid_axis(self):
         # the heads must split the feature axis evenly
-        x = E.tensor(np.zeros((1, 2, 6)))
+        x = E.Tensor(np.zeros((1, 2, 6)))
         with pytest.raises(E.ShapeError, match="6 does not split into 4 heads"):
             _attend(x, x, x, heads=4)
 
@@ -134,13 +136,13 @@ class TestSoftmax:
         rng = np.random.default_rng(6)
         q = _param(rng, (3, 5, 5))
         k = _param(rng, (3, 5, 5))
-        v = E.tensor(np.broadcast_to(np.eye(5), (3, 5, 5)), dtype=np.float64)
+        v = E.Tensor(np.broadcast_to(np.eye(5), (3, 5, 5)), dtype=np.float64)
         w = rng.standard_normal((3, 5, 5))
 
         def run():
             with E.Graph() as g:
                 out = _attend(q, k, v, heads=1)
-                loss = E.tsum(E.mul(out, E.tensor(w, dtype=np.float64)))
+                loss = tsum(mul(out, E.Tensor(w, dtype=np.float64)))
             return g, loss
 
         g, loss = run()
@@ -152,22 +154,22 @@ class TestSoftmax:
 
 class TestLayerNorm:
     def test_constant_input_zero_output(self):
-        x = E.tensor(np.full(6, 3.5))
-        gain = E.tensor(np.ones(6))
-        bias = E.tensor(np.zeros(6))
+        x = E.Tensor(np.full(6, 3.5))
+        gain = E.Tensor(np.ones(6))
+        bias = E.Tensor(np.zeros(6))
         out = E.layer_norm(x, gain, bias)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
     def test_normalizes_mean_and_variance(self):
-        x = E.tensor([1.0, 2.0, 3.0])
-        out = E.layer_norm(x, E.tensor(np.ones(3)), E.tensor(np.zeros(3)))
+        x = E.Tensor([1.0, 2.0, 3.0])
+        out = E.layer_norm(x, E.Tensor(np.ones(3)), E.Tensor(np.zeros(3)))
         assert abs(out.data.mean()) <= 1e-5
         assert abs(out.data.var() - 1.0) <= 1e-4
 
     def test_gain_bias_shape_check(self):
         with pytest.raises(E.ShapeError):
-            E.layer_norm(E.tensor(np.zeros((2, 4))), E.tensor(np.ones(3)),
-                         E.tensor(np.zeros(3)))
+            E.layer_norm(E.Tensor(np.zeros((2, 4))), E.Tensor(np.ones(3)),
+                         E.Tensor(np.zeros(3)))
 
     def test_gradient(self):
         rng = np.random.default_rng(7)
@@ -179,7 +181,7 @@ class TestLayerNorm:
         def run():
             with E.Graph() as g:
                 out = E.layer_norm(x, gain, bias)
-                loss = E.tsum(E.mul(out, E.tensor(w, dtype=np.float64)))
+                loss = tsum(mul(out, E.Tensor(w, dtype=np.float64)))
             return g, loss
 
         g, loss = run()
@@ -192,11 +194,11 @@ class TestLayerNorm:
 
 class TestGelu:
     def test_zero(self):
-        assert E.gelu(E.tensor([0.0])).data[0] == 0.0
+        assert E.gelu(E.Tensor([0.0])).data[0] == 0.0
 
     def test_matches_erf_formula(self):
         x = np.linspace(-4, 4, 33)
-        out = E.gelu(E.tensor(x, dtype=np.float64)).data
+        out = E.gelu(E.Tensor(x, dtype=np.float64)).data
         expected = 0.5 * x * (1 + erf(x / np.sqrt(2)))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -206,7 +208,7 @@ class TestGelu:
 
         def run():
             with E.Graph() as g:
-                loss = E.tsum(E.gelu(x))
+                loss = tsum(E.gelu(x))
             return g, loss
 
         g, loss = run()
@@ -217,16 +219,16 @@ class TestGelu:
 
 class TestDropout:
     def test_eval_is_identity_object(self):
-        x = E.tensor(np.arange(5.0))
+        x = E.Tensor(np.arange(5.0))
         assert E.dropout(x, 0.5, None) is x
 
     def test_rate_zero_identity(self):
-        x = E.tensor(np.arange(5.0))
+        x = E.Tensor(np.arange(5.0))
         assert E.dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_survivor_fraction(self):
         rng = np.random.default_rng(9)
-        x = E.tensor(np.ones(1_000_000))
+        x = E.Tensor(np.ones(1_000_000))
         out = E.dropout(x, 0.2, rng)
         frac = np.count_nonzero(out.data) / x.size
         assert abs(frac - 0.8) <= 0.01
@@ -235,13 +237,13 @@ class TestDropout:
 
     def test_rate_one_rejected(self):
         with pytest.raises(E.ParameterError):
-            E.dropout(E.tensor([1.0]), 1.0, np.random.default_rng(0))
+            E.dropout(E.Tensor([1.0]), 1.0, np.random.default_rng(0))
 
     def test_backward_passes_mask(self):
         x = E.parameter(np.ones(1000), dtype=np.float64)
         with E.Graph() as g:
             out = E.dropout(x, 0.3, np.random.default_rng(4))
-            loss = E.tsum(out)
+            loss = tsum(out)
         g.backward(loss)
         mask = out.data != 0
         np.testing.assert_allclose(x.grad[mask], 1 / 0.7, atol=1e-9)
@@ -252,14 +254,14 @@ class TestBackward:
     def test_sum_gives_ones(self):
         p = E.parameter(np.arange(6.0).reshape(2, 3))
         with E.Graph() as g:
-            loss = E.tsum(p)
+            loss = tsum(p)
         g.backward(loss)
         np.testing.assert_array_equal(p.grad, np.ones((2, 3), dtype=np.float32))
 
     def test_sum_of_squares(self):
         p = E.parameter([1.0, 2.0])
         with E.Graph() as g:
-            loss = E.tsum(E.mul(p, p))
+            loss = tsum(mul(p, p))
         g.backward(loss)
         np.testing.assert_allclose(p.grad, [2.0, 4.0])
 
@@ -269,7 +271,7 @@ class TestBackward:
             acc = ps[0]
             for p in ps[1:]:
                 acc = E.add(acc, p)
-            loss = E.tsum(acc)
+            loss = tsum(acc)
         g.backward(loss)
         for p in ps:
             np.testing.assert_array_equal(p.grad, np.ones(3, dtype=np.float32))
@@ -284,7 +286,7 @@ class TestBackward:
     def test_second_backward_rejected(self):
         p = E.parameter(np.ones(3))
         with E.Graph() as g:
-            loss = E.tsum(p)
+            loss = tsum(p)
         g.backward(loss)
         with pytest.raises(E.GraphError):
             g.backward(loss)
@@ -292,16 +294,16 @@ class TestBackward:
     def test_reused_parameter_accumulates(self):
         p = E.parameter([2.0])
         with E.Graph() as g:
-            loss = E.tsum(E.add(E.mul(p, p), p))  # p^2 + p -> 2p + 1
+            loss = tsum(E.add(mul(p, p), p))  # p^2 + p -> 2p + 1
         g.backward(loss)
         np.testing.assert_allclose(p.grad, [5.0])
 
     def test_grad_set_on_leaves_only(self):
         p = E.parameter([2.0])
         with E.Graph() as g:
-            square = E.mul(p, p)
+            square = mul(p, p)
             total = E.add(square, p)
-            loss = E.tsum(total)
+            loss = tsum(total)
         g.backward(loss)
         np.testing.assert_allclose(p.grad, [5.0])
         for t in (square, total, loss):
@@ -309,14 +311,14 @@ class TestBackward:
 
     def test_no_recording_outside_graph(self):
         p = E.parameter([1.0])
-        out = E.mul(p, p)
+        out = mul(p, p)
         assert out.requires_grad is False
 
     def test_loss_from_outside_the_graph_rejected(self):
         p = E.parameter(np.ones(3))
         with E.Graph() as g:
-            square = E.mul(p, p)
-        loss = E.tsum(square)  # computed after the block: not on the tape
+            square = mul(p, p)
+        loss = tsum(square)  # computed after the block: not on the tape
         with pytest.raises(E.GraphError, match="not recorded on this graph"):
             g.backward(loss)
         assert p.grad is None
@@ -330,7 +332,7 @@ class TestBackward:
             x = E.add(p, q)
             sum_data = weakref.ref(x.data)
             x = E.layer_norm(x, gain, bias)
-            loss = E.tsum(x)
+            loss = tsum(x)
         assert sum_data() is None
         g.backward(loss)
         assert p.grad is not None and q.grad is not None
@@ -344,7 +346,7 @@ class TestBackward:
             y = _times(p, 2.0)
             gelu_in = weakref.ref(y.data)
             y = E.gelu(y)
-            loss = E.tsum(E.mul(y, E.tensor(wt)))
+            loss = tsum(mul(y, E.Tensor(wt)))
         assert gelu_in() is None
         (kept,) = _closure_arrays(g._nodes[1][1])
         assert kept.shape == x.shape
@@ -360,9 +362,9 @@ class TestBackward:
     def test_backward_keeps_node_count_and_still_rejects_a_second_run(self):
         p = E.parameter(np.ones(3))
         with E.Graph() as g:
-            x = E.mul(p, p)
+            x = mul(p, p)
             kept = weakref.ref(x.data)  # mul keeps its factors
-            loss = E.tsum(E.mul(x, x))
+            loss = tsum(mul(x, x))
         assert len(g) == 3 and kept() is not None
         g.backward(loss)
         assert len(g) == 3 and kept() is x.data
@@ -374,9 +376,9 @@ class TestBackward:
     def test_output_of_outer_tape_is_a_leaf_on_inner_tape(self):
         p = E.parameter([1.0, 2.0])
         with E.Graph() as outer:
-            y = E.mul(p, p)
+            y = mul(p, p)
             with E.Graph() as inner:
-                loss = E.tsum(_times(y, 3.0))
+                loss = tsum(_times(y, 3.0))
         assert len(outer) == 1 and len(inner) == 2
         inner.backward(loss)
         np.testing.assert_array_equal(y.grad, np.full(2, 3.0, dtype=np.float32))
@@ -388,13 +390,13 @@ class TestBackward:
         with E.Graph() as g:
             x = _times(p, 2.0)
             saved = weakref.ref(x.data)
-            loss = E.tsum(E.gelu(x))
+            loss = tsum(E.gelu(x))
         del x, g
         assert saved() is None and loss.requires_grad
 
     def test_add_and_sub_skip_inputs_without_grad(self):
         p = E.parameter(np.ones((2, 3)))
-        table = E.tensor(np.ones((1, 3)))
+        table = E.Tensor(np.ones((1, 3)))
         for op in (E.add, E.sub):
             for a, b in ((p, table), (table, p)):
                 with E.Graph() as g:
@@ -432,7 +434,7 @@ def test_sum_and_mean_match_numpy_bitwise(dtype, axis, mean):
     # gradient over the reduced axis, divided by the count for the mean
     rng = np.random.default_rng(11)
     x = E.parameter(rng.standard_normal((5, 7, 3)), dtype=dtype)
-    op, reference = (E.tmean, np.mean) if mean else (E.tsum, np.sum)
+    op, reference = (E.tmean, np.mean) if mean else (tsum, np.sum)
     with E.Graph() as g:
         out = op(x, axis=axis)
     expected = reference(x.data, axis=axis, dtype=np.float64).astype(dtype)
@@ -471,7 +473,7 @@ def test_op_gradients_match_finite_differences(opname):
         if opname == "sub":
             return E.sub(a, b), [a, b]
         if opname == "mul":
-            return E.mul(a, b), [a, b]
+            return mul(a, b), [a, b]
         if opname == "tmean":
             return E.tmean(a, axis=1), [a]
         if opname == "concat":
@@ -489,7 +491,7 @@ def test_op_gradients_match_finite_differences(opname):
         with E.Graph() as g:
             out, tracked = build()
             wt = np.cos(np.arange(out.size, dtype=np.float64)).reshape(out.shape)
-            loss = E.tsum(E.mul(out, E.tensor(wt, dtype=np.float64)))
+            loss = tsum(mul(out, E.Tensor(wt, dtype=np.float64)))
         return g, loss, tracked
 
     g, loss, tracked = run()
@@ -532,7 +534,7 @@ def _run_fused(op, inputs, out_shape, seed):
     wt = np.random.default_rng(seed).standard_normal(out_shape).astype(np.float32)
     with E.Graph() as g:
         out = op(*params)
-        loss = E.tsum(E.mul(out, E.tensor(wt)))
+        loss = tsum(mul(out, E.Tensor(wt)))
     g.backward(loss)
     return out.data, [p.grad for p in params], wt
 
@@ -644,7 +646,7 @@ class TestFusedOps:
             for got, want in zip(grads, ref_grads):
                 assert got.dtype == dtype and np.array_equal(got, want)
         # neither capture nor tape: the softmax ends in the block buffer
-        plain = E.attention(E.tensor(qkv), E.tensor(w), E.tensor(bias), heads=heads)
+        plain = E.attention(E.Tensor(qkv), E.Tensor(w), E.Tensor(bias), heads=heads)
         assert np.array_equal(plain.data, ref)
 
     def test_attention_matches_old_chain_bitwise(self, monkeypatch):
@@ -711,7 +713,7 @@ class TestFusedOps:
             drop_rng, capture = np.random.default_rng(33), []
             with E.Graph() as g:
                 outs = [step(x, drop_rng, capture) for x in xs]
-                loss = E.tsum(E.concat([E.tsum(E.mul(out, E.tensor(wt, dtype=dtype)), axis=0)
+                loss = tsum(E.concat([tsum(mul(out, E.Tensor(wt, dtype=dtype)), axis=0)
                                         for out, wt in zip(outs, weights)]))
             g.backward(loss)
             grads = [p.grad for p in params] + [x.grad for x in xs]
@@ -726,30 +728,30 @@ class TestFusedOps:
 
     def test_linear_bias_shape_checked(self):
         with pytest.raises(E.ShapeError, match=r"\(4,\)"):
-            E.linear(E.tensor(np.zeros((2, 3))), E.tensor(np.zeros((3, 5))),
-                     E.tensor(np.zeros(4)))
+            E.linear(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((3, 5))),
+                     E.Tensor(np.zeros(4)))
 
     def test_norm_linear_shapes_checked(self):
-        x, ones = E.tensor(np.zeros((2, 3, 4))), E.tensor(np.ones(4))
-        w, b = E.tensor(np.zeros((4, 5))), E.tensor(np.zeros(5))
+        x, ones = E.Tensor(np.zeros((2, 3, 4))), E.Tensor(np.ones(4))
+        w, b = E.Tensor(np.zeros((4, 5))), E.Tensor(np.zeros(5))
         with pytest.raises(E.ShapeError, match=r"\(2, 3, 4\), \(3, 5\) and \(5,\)"):
-            E.norm_linear(x, ones, ones, [(w, b), (E.tensor(np.zeros((3, 5))), b)])
+            E.norm_linear(x, ones, ones, [(w, b), (E.Tensor(np.zeros((3, 5))), b)])
         with pytest.raises(E.ShapeError, match=r"\(4, 5\) and \(4,\)"):
             E.norm_linear(x, ones, ones, [(w, ones)])
         with pytest.raises(E.ShapeError, match=r"must have shape \(4,\)"):
-            E.norm_linear(x, ones, E.tensor(np.ones(3)), [(w, b)])
+            E.norm_linear(x, ones, E.Tensor(np.ones(3)), [(w, b)])
 
     def test_attention_operand_shapes_checked(self):
-        w, b = E.tensor(np.zeros((4, 4))), E.tensor(np.zeros(4))
+        w, b = E.Tensor(np.zeros((4, 4))), E.Tensor(np.zeros(4))
         with pytest.raises(E.ShapeError, match=r"3 \* dim\), got \(2, 3, 10\)"):
-            E.attention(E.tensor(np.zeros((2, 3, 10))), w, b, heads=2)
+            E.attention(E.Tensor(np.zeros((2, 3, 10))), w, b, heads=2)
         with pytest.raises(E.ShapeError, match=r"3 \* dim\), got \(3, 12\)"):
-            E.attention(E.tensor(np.zeros((3, 12))), w, b, heads=2)
-        qkv = E.tensor(np.zeros((2, 3, 12)))
+            E.attention(E.Tensor(np.zeros((3, 12))), w, b, heads=2)
+        qkv = E.Tensor(np.zeros((2, 3, 12)))
         with pytest.raises(E.ShapeError, match=r"w \(4, d_out\).*\(5, 4\) and \(4,\)"):
-            E.attention(qkv, E.tensor(np.zeros((5, 4))), b, heads=2)
+            E.attention(qkv, E.Tensor(np.zeros((5, 4))), b, heads=2)
         with pytest.raises(E.ShapeError, match=r"\(4, 4\) and \(3,\)"):
-            E.attention(qkv, w, E.tensor(np.zeros(3)), heads=2)
+            E.attention(qkv, w, E.Tensor(np.zeros(3)), heads=2)
 
     def test_recorded_attention_keeps_no_maps(self, monkeypatch):
         # besides qkv and the out-projection's weight, backward keeps each
@@ -769,7 +771,7 @@ class TestFusedOps:
                     or storage.size <= 2 * b * heads * n), a.shape
 
     def test_eval_attention_keeps_no_maps(self):
-        q = E.tensor(np.ones((1, 3, 4)))
+        q = E.Tensor(np.ones((1, 3, 4)))
         out = _attend(q, q, q, heads=2)
         assert out.requires_grad is False
         np.testing.assert_allclose(out.data, 1.0, atol=1e-6)

@@ -19,7 +19,7 @@ from binloc.losses import (
     mse_loss,
 )
 
-from helpers import central_diff, max_rel_err
+from helpers import central_diff, max_rel_err, mul, tsum
 
 
 def _pred(data):
@@ -27,20 +27,20 @@ def _pred(data):
 
 
 def _old_hybrid_chain(target, pred, alpha):
-    """The hybrid loss as primitive engine ops: the angular node, then
-    ``sub``, ``mul``, ``tsum`` and ``tmean`` for the squared distance, each
+    """The hybrid loss as primitive ops: the angular node, then ``sub``, the
+    ``mul`` and ``tsum`` probes and ``tmean`` for the squared distance, each
     term times its weight as a constant of ``pred``'s dtype, then their sum."""
     def weight(c):
-        return E.tensor(c, dtype=pred.dtype)
+        return E.Tensor(c, dtype=pred.dtype)
 
     ad = ad_loss(target, pred) if alpha > 0.0 else None
-    diff = E.sub(pred, E.tensor(target, dtype=pred.dtype))
-    mse = E.tmean(E.tsum(E.mul(diff, diff), axis=1))
+    diff = E.sub(pred, E.Tensor(target, dtype=pred.dtype))
+    mse = E.tmean(tsum(mul(diff, diff), axis=1))
     if alpha == 0.0:
         return mse
     if alpha == 1.0:
         return ad
-    return E.add(E.mul(ad, weight(alpha)), E.mul(mse, weight(1.0 - alpha)))
+    return E.add(mul(ad, weight(alpha)), mul(mse, weight(1.0 - alpha)))
 
 
 class TestMse:

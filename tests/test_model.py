@@ -29,7 +29,7 @@ from binloc.model import (
     sincos_position_table,
 )
 from binloc.util import from_kv, to_kv
-from helpers import MALFORMED_HEADERS, fail_writes_after, tensor_file_bytes
+from helpers import MALFORMED_HEADERS, fail_writes_after, mul, tensor_file_bytes
 
 TINY = ModelConfig(height=20, width=16, patch=8, stride=6, dim=32, layers=1,
                    heads=2, mlp_dim=32, dropout=0.0, integration="sub")
@@ -133,7 +133,7 @@ class TestEncoderStack:
             raise AssertionError(f"a 0-layer stack made parameter {name}")
 
         stack = EncoderStack(16, 0, 2, 16, 0.0, param, "e")
-        x = E.tensor(np.random.default_rng(1).standard_normal((2, 5, 16)))
+        x = E.Tensor(np.random.default_rng(1).standard_normal((2, 5, 16)))
         out = stack(x)
         np.testing.assert_array_equal(out.data, x.data)
 
@@ -168,20 +168,20 @@ class TestEncoderStack:
 
 class TestIntegrate:
     def test_sub_of_equal_maps_is_zero(self):
-        z = E.tensor(np.random.default_rng(0).standard_normal((2, 5, 8)))
+        z = E.Tensor(np.random.default_rng(0).standard_normal((2, 5, 8)))
         np.testing.assert_array_equal(integrate(z, z, "sub").data, 0.0)
 
     def test_add_commutes(self):
         rng = np.random.default_rng(1)
-        a = E.tensor(rng.standard_normal((2, 5, 8)))
-        b = E.tensor(rng.standard_normal((2, 5, 8)))
+        a = E.Tensor(rng.standard_normal((2, 5, 8)))
+        b = E.Tensor(rng.standard_normal((2, 5, 8)))
         np.testing.assert_array_equal(integrate(a, b, "add").data,
                                       integrate(b, a, "add").data)
 
     def test_concat_doubles_canonical_width(self):
         rng = np.random.default_rng(2)
-        a = E.tensor(rng.standard_normal((1, 180, 1024)))
-        b = E.tensor(rng.standard_normal((1, 180, 1024)))
+        a = E.Tensor(rng.standard_normal((1, 180, 1024)))
+        b = E.Tensor(rng.standard_normal((1, 180, 1024)))
         out = integrate(a, b, "concat")
         assert out.shape == (1, 180, 2048)
         np.testing.assert_array_equal(out.data[..., :1024], a.data)
@@ -255,7 +255,7 @@ class TestForward:
         xr = rng.standard_normal((2, 20, 16))
         with E.Graph() as g:
             pred = model.forward(xl, xr, rng=rng)
-            loss = E.tmean(E.mul(pred, pred))
+            loss = E.tmean(mul(pred, pred))
         g.backward(loss)
         for p in model.parameters():
             assert p.grad is not None, p.name
@@ -276,7 +276,7 @@ class TestForward:
         monkeypatch.setattr(E, "_record_op", gathered)
         with E.Graph() as g:
             pred = model.forward(xl, xr, rng=rng)
-            loss = E.tmean(E.mul(pred, pred))
+            loss = E.tmean(mul(pred, pred))
         produced = [t for t in outputs if t.requires_grad]
         assert len(produced) == len(g)
         assert loss in produced and pred in produced
@@ -307,7 +307,7 @@ class TestForward:
         for model in (shared, split):
             with E.Graph() as g:
                 pred = model.forward(xl, xr)
-                loss = E.tmean(E.mul(pred, pred))
+                loss = E.tmean(mul(pred, pred))
             g.backward(loss)
         grads = {p.name: p.grad for p in split.parameters()}
         for p in shared.parameters():
@@ -322,6 +322,21 @@ class TestForward:
         model = BinauralTransformer(TINY, seed=0)
         with pytest.raises(ConfigError, match="shape"):
             model.predict(np.zeros((1, 10, 10)), np.zeros((1, 10, 10)))
+
+    @pytest.mark.parametrize("shared,integration", [(False, "sub"), (True, "concat")])
+    def test_empty_batch_gives_empty_predictions_and_maps(self, shared, integration):
+        # attention takes its batch in blocks of at least one sample, so an
+        # empty batch runs no block instead of stepping by zero
+        cfg = dataclasses.replace(desk_profile().model, stride=6, shared=shared,
+                                  integration=integration)
+        model = BinauralTransformer(cfg, seed=0)
+        x = np.zeros((0, cfg.height, cfg.width), np.float32)
+        pred, capture = model.forward_with_attention(x, x)
+        assert pred.shape == (0, 2)
+        maps = [*capture.left, *capture.right, *capture.center]
+        assert len(maps) == 9
+        assert all(m.shape == (0, 4, 180, 180) for m in maps)
+        assert model.predict(x, x).shape == (0, 2)
 
     def test_desk_step_records_72_tape_nodes(self):
         # one node per pre-norm projection (the q/k/v or fc1 maps fused with

@@ -231,12 +231,10 @@ class TestRenderBits:
 class TestLocalizationTarget:
     def test_unit_circle_coordinate(self):
         for azimuth in S.AZIMUTH_GRID:
-            c = S.LocalizationTarget(azimuth, "AE").coordinate
+            c = S.azimuth_to_xy(azimuth)
             assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-6)
-        np.testing.assert_allclose(S.LocalizationTarget(90, "AE").coordinate,
-                                   [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(S.LocalizationTarget(0, "AE").coordinate,
-                                   [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(S.azimuth_to_xy(90), [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(S.azimuth_to_xy(0), [0.0, 1.0], atol=1e-12)
 
     def test_off_grid_azimuth_rejected(self):
         with pytest.raises(S.SpatialError):
