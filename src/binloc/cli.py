@@ -161,6 +161,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _reject_repeats(flag: str, values) -> None:
+    """A usage error naming each value that ``flag`` lists more than once."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise _usage(f"{flag} lists {repeated} more than once")
+
+
 def _cmd_gen_data(args) -> int:
     if args.azimuths == "all":
         azimuths = AZIMUTH_GRID
@@ -173,9 +180,7 @@ def _cmd_gen_data(args) -> int:
     off_grid = [a for a in azimuths if a not in AZIMUTH_GRID]
     if off_grid:
         raise _usage(f"--azimuths must be multiples of 10 in [0, 350], got {off_grid}")
-    duplicates = sorted({a for a in azimuths if azimuths.count(a) > 1})
-    if duplicates:
-        raise _usage(f"--azimuths lists {duplicates} more than once")
+    _reject_repeats("--azimuths", azimuths)
     if args.sources < 1:
         raise _usage(f"--sources must be >= 1, got {args.sources}")
     if args.test_sources < 0:
@@ -183,12 +188,13 @@ def _cmd_gen_data(args) -> int:
     if not 0.0 < args.ratio < 1.0:
         raise _usage(f"--ratio must be in (0, 1), got {args.ratio}")
     scene_of = dict(zip(ENVIRONMENTS, (anechoic_scene, reverberant_scene)))
-    scenes = {}
-    for env in args.envs.split(","):
+    envs = args.envs.split(",")
+    for env in envs:
         if env not in scene_of:
             raise _usage(f"unknown environment {env!r}; use "
                          f"{' and/or '.join(ENVIRONMENTS)}")
-        scenes[env] = scene_of[env]()
+    _reject_repeats("--envs", envs)
+    scenes = {env: scene_of[env]() for env in envs}
     kinds = list(SOURCE_KINDS)
     sources = {f"src{i:03d}": make_source(kinds[i % len(kinds)],
                                           seed=args.seed * 10_000 + i)

@@ -430,56 +430,90 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record_op((x, w, b), out.reshape(x.shape[:-1] + (w.shape[1],)), backward)
 
 
-def norm_linear(x: Tensor, gain: Tensor, bias: Tensor,
-                pairs: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+def _norm_maps(op: str, x: Tensor, gain: Tensor, bias: Tensor,
+               pairs: Sequence[tuple[Tensor, Tensor]], taped: bool):
     """``layer_norm(x, gain, bias)`` fed to one affine map per ``(w, b)`` in
-    ``pairs``, their outputs side by side along the last axis: a pre-norm
-    block's q, k and v projections, or its first MLP layer.
+    ``pairs``, their outputs side by side in the columns of one (rows,
+    width) array: a pre-norm block's q, k and v, or its first MLP layer.
 
-    Each map's GEMM writes its own column slice of the output, so the bits
-    are those of ``linear`` on the norm's output. A recorded call keeps only
-    the norm's ``xhat`` and ``inv``: backward rebuilds the norm's output from
-    them with the forward's own operations, and sums the maps' input
-    gradients last map first, as the tape sums separate ``linear`` nodes.
+    Each map's GEMM writes its own column slice, so the bits are those of
+    ``linear`` on the norm's output. Returns that array and, when ``taped``,
+    the three functions an op's backward uses, which keep only the norm's
+    ``xhat`` and ``inv``:
+
+    - ``rebuild()``, the norm's output as (rows, d_in), rebuilt from them
+      with the forward's own operations;
+    - ``remap(flat)``, the maps of ``flat`` as the forward computes them;
+    - ``grads(g, flat)``, the gradients of x, gain, bias and each map's w
+      and b from the output's (rows, width) gradient ``g`` and the rebuilt
+      ``flat``, which it spends. The maps' input gradients are summed last
+      map first, as the tape sums separate ``linear`` nodes.
     """
     n = x.data.shape[-1]
-    cols, lo = [], 0
+    cols, width = [], 0
     for w, b in pairs:
         if w.data.ndim != 2 or w.data.shape[0] != n or b.data.shape != (w.data.shape[1],):
             raise ShapeError(
-                f"norm_linear needs x (..., d_in), w (d_in, d_out) and b (d_out,), "
+                f"{op} needs x (..., d_in), w (d_in, d_out) and b (d_out,), "
                 f"got {x.shape}, {w.shape} and {b.shape}")
-        cols.append(slice(lo, lo + w.data.shape[1]))
-        lo += w.data.shape[1]
+        cols.append(slice(width, width + w.data.shape[1]))
+        width += w.data.shape[1]
+    weights, biases = [w.data for w, _ in pairs], [b.data for _, b in pairs]
+
+    def remap(flat):
+        out = np.empty((len(flat), width), np.result_type(flat, *weights))
+        for w, c in zip(weights, cols):
+            np.matmul(flat, w, out=out[:, c])
+        # one bias add over whole rows: adding into each strided column slice
+        # runs about 3x slower per element
+        out += np.concatenate(biases)
+        return out
+
     normed, xhat, inv = _norm(x, gain, bias)
-    flat = normed.reshape(-1, n)
-    weights = [w.data for w, _ in pairs]
-    out = np.empty((len(flat), lo), np.result_type(flat, *weights))
-    for w, c in zip(weights, cols):
-        np.matmul(flat, w, out=out[:, c])
-    # one bias add over whole rows: adding into each strided column slice
-    # runs about 3x slower per element
-    out += np.concatenate([b.data for _, b in pairs])
+    out = remap(normed.reshape(-1, n))
+    if not taped:
+        return out, None
     gain_data, bias_data, shape = gain.data, bias.data, x.data.shape
     needs = x.requires_grad, gain.requires_grad, bias.requires_grad
-    need_params = [(w.requires_grad, b.requires_grad) for w, b in pairs]
+    need_w = [w.requires_grad for w, _ in pairs]
+    need_b = [b.requires_grad for _, b in pairs]
 
-    def backward(g):
-        g = g.reshape(-1, g.shape[-1])
-        normed = _affine(xhat, gain_data, bias_data, np.empty_like(xhat))
-        flat = normed.reshape(-1, n)
-        gnorm, grads = None, []
+    def rebuild():
+        return _affine(xhat, gain_data, bias_data, np.empty_like(xhat)).reshape(-1, n)
+
+    def grads(g, flat):
+        gnorm = None
         for wd, c in zip(weights[::-1], cols[::-1]):  # last map first
             part = g[:, c] @ wd.T
             gnorm = part if gnorm is None else _into(np.add, gnorm, part, gnorm)
-        for c, (need_w, need_b) in zip(cols, need_params):
-            grads += (flat.T @ g[:, c] if need_w else None,
-                      g[:, c].sum(axis=0) if need_b else None)
+        # one column sum for every bias: an axis-0 sum adds the rows in the
+        # same order over all columns as over one map's
+        gb = g.sum(axis=0) if any(need_b) else None
+        maps = []
+        for c, nw, nb in zip(cols, need_w, need_b):
+            maps += (flat.T @ g[:, c] if nw else None, gb[c] if nb else None)
         return (*_norm_backward(gnorm.reshape(shape), xhat, inv, gain_data, *needs,
-                                normed), *grads)
+                                flat.reshape(shape)), *maps)
 
-    inputs = (x, gain, bias, *(t for pair in pairs for t in pair))
-    return _record_op(inputs, out.reshape(shape[:-1] + (lo,)), backward)
+    return out, (rebuild, remap, grads)
+
+
+def norm_linear(x: Tensor, gain: Tensor, bias: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``linear(layer_norm(x, gain, bias), w, b)`` as one op: a pre-norm
+    block's first MLP layer.
+
+    A recorded call keeps only the norm's ``xhat`` and ``inv``; backward
+    rebuilds the norm's output from them with the forward's own operations.
+    """
+    inputs = (x, gain, bias, w, b)
+    out, redo = _norm_maps("norm_linear", x, gain, bias, [(w, b)],
+                           _recording(inputs) is not None)
+    out = out.reshape(x.data.shape[:-1] + (out.shape[1],))
+    if redo is None:
+        return Tensor(out)
+    rebuild, _, grads = redo
+    return _record_op(inputs, out,
+                      lambda g: grads(g.reshape(-1, g.shape[-1]), rebuild()))
 
 
 # Byte budget of one batch block's (heads, n, n) attention maps. A block's
@@ -488,48 +522,65 @@ def norm_linear(x: Tensor, gain: Tensor, bias: Tensor,
 _ATTENTION_BLOCK_BYTES = 512 * 1024
 
 
-def attention(qkv: Tensor, w: Tensor, b: Tensor, heads: int,
-              capture: list | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention, then its output projection.
+def attention(x: Tensor, gain: Tensor, bias: Tensor,
+              pairs: Sequence[tuple[Tensor, Tensor]], w: Tensor, b: Tensor,
+              heads: int, capture: list | None = None) -> Tensor:
+    """A pre-norm block's attention sublayer: layer norm, q/k/v maps,
+    multi-head scaled dot-product attention and its output projection.
 
-    ``qkv`` holds q, k and v side by side along its last axis, (batch, n,
-    3 * dim), as ``norm_linear`` writes them; q, k and v are views of it.
-    The feature axis splits into ``heads`` heads of width dh; each head
-    computes softmax(q k^T / sqrt(dh)) v with a max-shifted softmax whose
-    normalizer accumulates in 64-bit, and the heads merge back into a
-    (batch, n, dim) ``y``, which leaves through ``y @ w + b`` as ``linear``
-    computes it. The batch runs in blocks of ``_ATTENTION_BLOCK_BYTES`` worth
-    of maps, forward and backward, and each block's softmax (and its
-    backward) runs in place in one preallocated block buffer.
-    Neither ``y`` nor any (batch, heads, n, n) array is kept for backward:
-    besides ``qkv`` the tape keeps each row's max and normalizer, (batch,
-    heads, n, 1) each, and backward rebuilds a block's probability maps, and
-    from them its rows of ``y``, with the forward's own operations, so they
-    are bit-equal to the forward's.
+    q, k and v are the maps of ``layer_norm(x, gain, bias)`` through the
+    three ``(w, b)`` in ``pairs``, written side by side into one (batch, n,
+    3 * dim) array as ``norm_linear`` writes a map. The feature axis splits
+    into ``heads`` heads of width dh; each head computes softmax(q k^T /
+    sqrt(dh)) v with a max-shifted softmax whose normalizer accumulates in
+    64-bit, and the heads merge back into a (batch, n, dim) ``y``, which
+    leaves through ``y @ w + b`` as ``linear`` computes it. The batch runs
+    in blocks of ``_ATTENTION_BLOCK_BYTES`` worth of maps, forward and
+    backward, and each block's softmax (and its backward) runs in place in
+    one preallocated block buffer.
+    A recorded call keeps the norm's ``xhat`` and ``inv`` and each row's
+    softmax max and normalizer, (batch, heads, n, 1) each: no q, k or v, no
+    (batch, heads, n, n) array and no ``y``. Backward rebuilds q, k and v,
+    then a block's probability maps and its rows of ``y``, with the
+    forward's own operations, so they are bit-equal to the forward's.
+    Without a tape, the norm's arrays are let go before the attention loop.
     A ``capture`` list receives the maps as one (batch, heads, n, n) array.
     """
-    if qkv.data.ndim != 3 or qkv.data.shape[-1] % 3:
+    if x.data.ndim != 3 or len(pairs) != 3:
         raise ShapeError(
-            f"attention needs qkv of shape (batch, n, 3 * dim), got {qkv.shape}")
-    batch, n, dim = qkv.data.shape
-    dim //= 3
+            f"attention needs x (batch, n, d_in) and three (w, b) maps for q, k "
+            f"and v, got {x.shape} and {len(pairs)} maps")
+    widths = [m.data.shape[-1] for m, _ in pairs]
+    if len(set(widths)) != 1:
+        raise ShapeError(f"attention needs q, k and v maps of one width, got {widths}")
+    batch, n, _ = x.data.shape
+    dim = widths[0]
     if heads < 1 or dim % heads:
         raise ShapeError(f"attention dim {dim} does not split into {heads} heads")
     if w.data.ndim != 2 or w.data.shape[0] != dim or b.data.shape != (w.data.shape[1],):
         raise ShapeError(
             f"attention's output projection needs w ({dim}, d_out) and b (d_out,), "
             f"got {w.shape} and {b.shape}")
+    inputs = (x, gain, bias, *(t for pair in pairs for t in pair), w, b)
+    qkv, redo = _norm_maps("attention", x, gain, bias, pairs,
+                           _recording(inputs) is not None)
     dh = dim // heads
     c = 1.0 / math.sqrt(dh)
-    dtype = qkv.data.dtype
+    dtype = qkv.dtype
 
     def split(a):  # (batch, n, dim) -> (batch, heads, n, dh) view
         return a.reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
 
-    def thirds(a):  # (batch, n, 3 * dim) -> the heads of its q, k and v columns
+    def thirds(a):  # (rows, 3 * dim) -> the heads of its q, k and v columns
+        a = a.reshape(batch, n, 3 * dim)
         return [split(a[..., lo:lo + dim]) for lo in (0, dim, 2 * dim)]
 
-    qs, ks, vs = thirds(qkv.data)
+    def logits(qs, ks, blk, e):
+        """Block ``blk``'s scaled logits ``q k^T * c``, written into ``e``."""
+        np.matmul(qs[blk], np.swapaxes(ks[blk], -1, -2), out=e)
+        return np.multiply(e, dtype.type(c), out=e)
+
+    qs, ks, vs = thirds(qkv)
     map_bytes = heads * n * n * dtype.itemsize
     step = max(1, min(batch, _ATTENTION_BLOCK_BYTES // map_bytes))
     blocks = [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
@@ -538,16 +589,11 @@ def attention(qkv: Tensor, w: Tensor, b: Tensor, heads: int,
     y = np.empty((batch, n, dim), dtype)
     ys = split(y)
 
-    def logits(blk, e):
-        """Block ``blk``'s scaled logits ``q k^T * c``, written into ``e``."""
-        np.matmul(qs[blk], np.swapaxes(ks[blk], -1, -2), out=e)
-        return np.multiply(e, dtype.type(c), out=e)
-
     # one block's logits, turned into its softmax in place; a short last
     # block uses a prefix
     buf = np.empty((step, heads, n, n), dtype)
     for blk in blocks:
-        e = logits(blk, buf[:blk.stop - blk.start])
+        e = logits(qs, ks, blk, buf[:blk.stop - blk.start])
         np.subtract(e, e.max(axis=-1, keepdims=True, out=shift[blk]), out=e)
         np.exp(e, out=e)
         norm[blk] = e.sum(axis=-1, keepdims=True, dtype=np.float64)
@@ -557,10 +603,16 @@ def attention(qkv: Tensor, w: Tensor, b: Tensor, heads: int,
         capture.append(probs)
     out = y.reshape(-1, dim) @ w.data
     out += b.data
+    out = out.reshape(batch, n, w.data.shape[1])
+    if redo is None:
+        return Tensor(out)
+    rebuild, remap, grads = redo
     wd, need_w, need_b = w.data, w.requires_grad, b.requires_grad
 
     def backward(g):
         g = g.reshape(-1, g.shape[-1])
+        flat = rebuild()
+        qs, ks, vs = thirds(remap(flat))  # the forward's q, k and v
         gy = split(g @ wd.T)
         grad = np.empty((batch, n, 3 * dim), dtype)
         gq, gk, gv = thirds(grad)
@@ -570,7 +622,7 @@ def attention(qkv: Tensor, w: Tensor, b: Tensor, heads: int,
         for blk in blocks:
             p, glogits, product = bufs[:, :blk.stop - blk.start]
             # the forward's maps, and its y, rebuilt by its own operations
-            logits(blk, p)
+            logits(qs, ks, blk, p)
             np.subtract(p, shift[blk], out=p)
             np.exp(p, out=p)
             np.divide(p, norm[blk], out=p)
@@ -587,6 +639,6 @@ def attention(qkv: Tensor, w: Tensor, b: Tensor, heads: int,
             gk[blk] = np.swapaxes(np.swapaxes(qs[blk], -1, -2) @ glogits, -1, -2)
         gw = y.reshape(-1, dim).T @ g if need_w else None
         gb = g.sum(axis=0) if need_b else None
-        return grad, gw, gb
+        return (*grads(grad.reshape(-1, 3 * dim), flat), gw, gb)
 
-    return _record_op((qkv, w, b), out.reshape(batch, n, wd.shape[1]), backward)
+    return _record_op(inputs, out, backward)

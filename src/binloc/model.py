@@ -231,11 +231,6 @@ class LayerNorm:
     def __call__(self, x: E.Tensor) -> E.Tensor:
         return E.layer_norm(x, self.gain, self.bias)
 
-    def project(self, x: E.Tensor, *linears: Linear) -> E.Tensor:
-        """The norm of ``x`` through each of ``linears``, their outputs side
-        by side along the last axis, as one fused op."""
-        return E.norm_linear(x, self.gain, self.bias, [(m.w, m.b) for m in linears])
-
 
 class SelfAttention:
     def __init__(self, dim: int, heads: int, param: Param, name: str):
@@ -246,9 +241,10 @@ class SelfAttention:
         self.out = Linear(dim, dim, param, f"{name}.out")
 
     def __call__(self, x: E.Tensor, norm: LayerNorm, capture: list | None) -> E.Tensor:
-        """Attention over ``norm(x)``."""
-        qkv = norm.project(x, self.q, self.k, self.v)
-        return E.attention(qkv, self.out.w, self.out.b, self.heads, capture)
+        """Attention over ``norm(x)``, its layer norm and maps fused into one op."""
+        return E.attention(x, norm.gain, norm.bias,
+                           [(m.w, m.b) for m in (self.q, self.k, self.v)],
+                           self.out.w, self.out.b, self.heads, capture)
 
 
 class Mlp:
@@ -260,7 +256,8 @@ class Mlp:
 
     def __call__(self, x: E.Tensor, norm: LayerNorm, rng) -> E.Tensor:
         """The MLP of ``norm(x)``."""
-        y = E.dropout(E.gelu(norm.project(x, self.fc1)), self.dropout, rng)
+        h = E.norm_linear(x, norm.gain, norm.bias, self.fc1.w, self.fc1.b)
+        y = E.dropout(E.gelu(h), self.dropout, rng)
         return E.dropout(self.fc2(y), self.dropout, rng)
 
 

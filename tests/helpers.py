@@ -105,6 +105,78 @@ def recorded_attention_reference(q, k, v, heads, capture=None):
                         lambda g: attention_reference(qd, kd, vd, heads, g)[2])
 
 
+def qkv_attention(qkv, w, b, heads, capture=None):
+    """Attention over a tensor ``qkv`` that holds q, k and v side by side,
+    (batch, n, 3 * dim), then its output projection ``y @ w + b``, recorded
+    as one tape node: the engine's attention as it was before it took in its
+    layer norm and q/k/v maps. It runs the batch in the engine's blocks and
+    keeps ``qkv`` for backward, which rebuilds each block's maps and ``y``."""
+    batch, n, dim = qkv.data.shape
+    dim //= 3
+    dh = dim // heads
+    c = 1.0 / math.sqrt(dh)
+    dtype = qkv.data.dtype
+
+    def split(a):
+        return a.reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def thirds(a):
+        return [split(a[..., lo:lo + dim]) for lo in (0, dim, 2 * dim)]
+
+    qs, ks, vs = thirds(qkv.data)
+    step = max(1, min(batch, E._ATTENTION_BLOCK_BYTES // (heads * n * n * dtype.itemsize)))
+    blocks = [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
+    probs = None if capture is None else np.empty((batch, heads, n, n), dtype)
+    shift, norm = np.empty((2, batch, heads, n, 1), dtype)
+    y = np.empty((batch, n, dim), dtype)
+    ys = split(y)
+
+    def logits(blk, e):
+        np.matmul(qs[blk], np.swapaxes(ks[blk], -1, -2), out=e)
+        return np.multiply(e, dtype.type(c), out=e)
+
+    buf = np.empty((step, heads, n, n), dtype)
+    for blk in blocks:
+        e = logits(blk, buf[:blk.stop - blk.start])
+        np.subtract(e, e.max(axis=-1, keepdims=True, out=shift[blk]), out=e)
+        np.exp(e, out=e)
+        norm[blk] = e.sum(axis=-1, keepdims=True, dtype=np.float64)
+        p = np.divide(e, norm[blk], out=e if probs is None else probs[blk])
+        ys[blk] = p @ vs[blk]
+    if capture is not None:
+        capture.append(probs)
+    out = y.reshape(-1, dim) @ w.data
+    out += b.data
+    wd = w.data
+
+    def backward(g):
+        g = g.reshape(-1, g.shape[-1])
+        gy = split(g @ wd.T)
+        grad = np.empty((batch, n, 3 * dim), dtype)
+        gq, gk, gv = thirds(grad)
+        y = np.empty((batch, n, dim), dtype)
+        ys = split(y)
+        bufs = np.empty((3, step, heads, n, n), dtype)
+        for blk in blocks:
+            p, glogits, product = bufs[:, :blk.stop - blk.start]
+            logits(blk, p)
+            np.subtract(p, shift[blk], out=p)
+            np.exp(p, out=p)
+            np.divide(p, norm[blk], out=p)
+            ys[blk] = p @ vs[blk]
+            np.matmul(gy[blk], np.swapaxes(vs[blk], -1, -2), out=glogits)
+            gv[blk] = np.swapaxes(p, -1, -2) @ gy[blk]
+            rowdot = np.multiply(glogits, p, out=product).sum(axis=-1, keepdims=True)
+            np.subtract(glogits, rowdot, out=glogits)
+            np.multiply(p, glogits, out=glogits)
+            np.multiply(glogits, c, out=glogits)
+            gq[blk] = glogits @ ks[blk]
+            gk[blk] = np.swapaxes(np.swapaxes(qs[blk], -1, -2) @ glogits, -1, -2)
+        return grad, y.reshape(-1, dim).T @ g, g.sum(axis=0)
+
+    return E._record_op((qkv, w, b), out.reshape(batch, n, wd.shape[1]), backward)
+
+
 def upsample_grid(grid, height, width, patch, stride):
     """A relevance grid upsampled to pixel size the way ``export_heatmap``
     upsamples its overlay CSVs: each pixel takes its nearest patch center."""

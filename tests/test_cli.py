@@ -76,6 +76,13 @@ class TestExitCodes:
         assert "--azimuths lists [90] more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_environments_are_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert main(["gen-data", "--out", str(out), "--azimuths", "0",
+                     "--envs", "AE,RV,AE"]) == 1
+        assert "--envs lists ['AE'] more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["eval"],
                                          ["rollout", "--sample-id", "x"]])
     def test_bad_run_config_is_runtime_failure(self, command, tmp_path, capsys):

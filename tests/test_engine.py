@@ -17,6 +17,7 @@ from helpers import (
     central_diff,
     max_rel_err,
     mul,
+    qkv_attention,
     recorded_attention_reference,
     tsum,
 )
@@ -85,12 +86,47 @@ class TestMatmul:
         assert a.grad.shape == (4, 2, 5, 6)
 
 
+def _token_inputs(q, k, v):
+    """Arrays for ``attention`` whose q, k and v maps give the (batch, n, d)
+    arrays ``q``, ``k`` and ``v`` up to rounding, and whose out-projection
+    is the identity: x, the norm's gain and bias, the three maps' w and b,
+    and the out-projection's w and b.
+
+    Token j of the flattened batch is +1 and -1 in features 2j and 2j + 1
+    and 0 elsewhere, so its layer norm is +s and -s there, and row 2j of
+    each map holds the token's q, k or v over s."""
+    b, n, d = q.shape
+    tokens = b * n
+    j = np.arange(tokens)
+    x = np.zeros((tokens, 2 * tokens))
+    x[j, 2 * j], x[j, 2 * j + 1] = 1.0, -1.0
+    s = 1.0 / np.sqrt(1.0 / tokens + 1e-5)  # each row's variance is 1 / tokens
+
+    def weights(t):
+        w = np.zeros((2 * tokens, d))
+        w[2 * j] = np.reshape(t, (tokens, d)) / s
+        return w
+
+    arrays = [x.reshape(b, n, -1), np.ones(2 * tokens), np.zeros(2 * tokens)]
+    for t in (q, k, v):
+        arrays += [weights(t), np.zeros(d)]
+    return [a.astype(q.dtype) for a in arrays + [np.eye(d), np.zeros(d)]]
+
+
+def _attention_op(heads, capture=None):
+    """``attention`` on its 11 operands in order: x, gain, bias, the q, k
+    and v maps' w and b, and the out-projection's w and b."""
+    def op(x, gain, bias, *wb):
+        pairs = list(zip(wb[::2], wb[1::2]))
+        return E.attention(x, gain, bias, pairs[:3], *pairs[3], heads, capture)
+    return op
+
+
 def _attend(q, k, v, heads, capture=None):
-    """``attention`` over q, k and v joined by ``concat``, with an identity
-    out-projection, which passes the merged heads through bit for bit."""
-    d = q.shape[-1]
-    return E.attention(E.concat([q, k, v]), E.Tensor(np.eye(d), dtype=q.dtype),
-                       E.Tensor(np.zeros(d), dtype=q.dtype), heads, capture)
+    """``attention`` whose q, k and v are those of tensors ``q``, ``k`` and
+    ``v`` up to rounding (see ``_token_inputs``)."""
+    arrays = _token_inputs(q.data, k.data, v.data)
+    return _attention_op(heads, capture)(*map(E.Tensor, arrays))
 
 
 def _attention_maps(q, k, heads=1):
@@ -132,24 +168,30 @@ class TestSoftmax:
             _attend(x, x, x, heads=4)
 
     def test_gradient(self):
-        # with v = I (one head as wide as the sequence) the output is the maps
+        # with v = I (one head as wide as the sequence) the output is the
+        # maps; the q and k maps' weights carry the gradient
         rng = np.random.default_rng(6)
-        q = _param(rng, (3, 5, 5))
-        k = _param(rng, (3, 5, 5))
-        v = E.Tensor(np.broadcast_to(np.eye(5), (3, 5, 5)), dtype=np.float64)
+        q, k = rng.standard_normal((2, 3, 5, 5))
+        v = np.broadcast_to(np.eye(5), (3, 5, 5))
+        operands = [E.Tensor(a) for a in _token_inputs(q, k, v)]
+        wq, wk = (E.parameter(operands[i].data) for i in (3, 5))
+        operands[3], operands[5] = wq, wk
         w = rng.standard_normal((3, 5, 5))
 
         def run():
             with E.Graph() as g:
-                out = _attend(q, k, v, heads=1)
+                out = _attention_op(heads=1)(*operands)
                 loss = tsum(mul(out, E.Tensor(w, dtype=np.float64)))
             return g, loss
 
         g, loss = run()
         g.backward(loss)
-        fd_q, fd_k = central_diff(lambda: run()[1].item(), [q.data, k.data])
-        assert max_rel_err(q.grad, fd_q) <= 1e-4
-        assert max_rel_err(k.grad, fd_k) <= 1e-4
+        # the norm scales each weight by about 3.9, so a step of 2.5e-4 in a
+        # weight moves q or k by about 1e-3
+        fd_q, fd_k = central_diff(lambda: run()[1].item(), [wq.data, wk.data],
+                                  h=2.5e-4)
+        assert max_rel_err(wq.grad, fd_q) <= 1e-4
+        assert max_rel_err(wk.grad, fd_k) <= 1e-4
 
 
 class TestLayerNorm:
@@ -461,11 +503,13 @@ def test_op_gradients_match_finite_differences(opname):
     x = E.parameter(rng.uniform(0.3, 1.7, (2, 3, 6)), dtype=np.float64)
     w = E.parameter(rng.uniform(-1.0, 1.0, (6, 5)), dtype=np.float64)
     bias = E.parameter(rng.uniform(-1.0, 1.0, (5,)), dtype=np.float64)
-    # q, k and v side by side, and a second map and the norm's affine
-    qkv = E.parameter(rng.uniform(0.3, 1.7, (2, 3, 18)), dtype=np.float64)
-    w2 = E.parameter(rng.uniform(-1.0, 1.0, (6, 4)), dtype=np.float64)
-    b2, gain, shift = (E.parameter(rng.uniform(-1.0, 1.0, (m,)), dtype=np.float64)
-                       for m in (4, 6, 6))
+    # the norm's affine, attention's q, k and v maps and its out-projection
+    gain, shift = (E.parameter(rng.uniform(-1.0, 1.0, (6,)), dtype=np.float64)
+                   for _ in range(2))
+    maps = [(E.parameter(rng.uniform(-1.0, 1.0, (6, 4)), dtype=np.float64),
+             E.parameter(rng.uniform(-1.0, 1.0, (4,)), dtype=np.float64))
+            for _ in range(3)]
+    w_out = E.parameter(rng.uniform(-1.0, 1.0, (4, 5)), dtype=np.float64)
 
     def build():
         if opname == "add":
@@ -481,10 +525,10 @@ def test_op_gradients_match_finite_differences(opname):
         if opname == "linear":
             return E.linear(x, w, bias), [x, w, bias]
         if opname == "norm_linear":
-            return (E.norm_linear(x, gain, shift, [(w, bias), (w2, b2)]),
-                    [x, gain, shift, w, bias, w2, b2])
+            return E.norm_linear(x, gain, shift, w, bias), [x, gain, shift, w, bias]
         if opname == "attention":
-            return E.attention(qkv, w, bias, heads=2, capture=[]), [qkv, w, bias]
+            return (E.attention(x, gain, shift, maps, w_out, bias, heads=2, capture=[]),
+                    [x, gain, shift, *(t for m in maps for t in m), w_out, bias])
         raise AssertionError(opname)
 
     def run():
@@ -539,6 +583,18 @@ def _run_fused(op, inputs, out_shape, seed):
     return out.data, [p.grad for p in params], wt
 
 
+def _attention_arrays(rng, b, n, d_in, dim, d_out, dtype):
+    """Random operands for ``_attention_op``: x (b, n, d_in), the norm's
+    gain and bias, q, k and v maps to ``dim`` features, and an
+    out-projection to ``d_out``."""
+    arrays = [(rng.standard_normal((b, n, d_in)) * 3 + 1).astype(dtype)]
+    arrays += [rng.standard_normal(d_in).astype(dtype) for _ in range(2)]
+    for rows, cols in ((d_in, dim),) * 3 + ((dim, d_out),):
+        arrays += [(rng.standard_normal((rows, cols)) * 0.2).astype(dtype),
+                   rng.standard_normal(cols).astype(dtype)]
+    return arrays
+
+
 def _old_layer_norm(a, gain, bias, g, eps=1e-5):
     """``layer_norm`` and its backward with a fresh array per step."""
     mean = a.mean(axis=-1, keepdims=True, dtype=np.float64)
@@ -583,29 +639,21 @@ class TestFusedOps:
     @pytest.mark.parametrize("x_dtype,p_dtype", [
         (np.float32, np.float32), (np.float64, np.float64),
         (np.float32, np.float64)])
-    @pytest.mark.parametrize("widths", [(24,), (16, 16, 16)])
     @pytest.mark.parametrize("n", [55, 180])
-    def test_norm_linear_matches_layer_norm_then_linears_bitwise(
-            self, x_dtype, p_dtype, widths, n):
-        # the parent's sequence: one layer_norm node, then one linear node per
-        # map, whose input gradients the tape sums last map first
+    def test_norm_linear_matches_layer_norm_then_linear_bitwise(
+            self, x_dtype, p_dtype, n):
+        # the parent's sequence: one layer_norm node, then one linear node
         rng = np.random.default_rng(29)
         x = (rng.standard_normal((2, n, 16)) * 3 + 1).astype(x_dtype)
         arrays = [x] + [rng.standard_normal(16).astype(p_dtype) for _ in range(2)]
-        for d in widths:
-            arrays += [(rng.standard_normal((16, d)) * 0.2).astype(p_dtype),
-                       rng.standard_normal(d).astype(p_dtype)]
+        arrays += [(rng.standard_normal((16, 24)) * 0.2).astype(p_dtype),
+                   rng.standard_normal(24).astype(p_dtype)]
 
-        def fused(x, gain, bias, *wb):
-            return E.norm_linear(x, gain, bias, list(zip(wb[::2], wb[1::2])))
+        def parent(x, gain, bias, w, b):
+            return E.linear(E.layer_norm(x, gain, bias), w, b)
 
-        def parent(x, gain, bias, *wb):
-            h = E.layer_norm(x, gain, bias)
-            return E.concat([E.linear(h, w, b) for w, b in zip(wb[::2], wb[1::2])])
-
-        shape = (2, n, sum(widths))
-        out, grads, _ = _run_fused(fused, arrays, shape, 30)
-        ref, ref_grads, _ = _run_fused(parent, arrays, shape, 30)
+        out, grads, _ = _run_fused(E.norm_linear, arrays, (2, n, 24), 30)
+        ref, ref_grads, _ = _run_fused(parent, arrays, (2, n, 24), 30)
         assert out.dtype == ref.dtype and np.array_equal(out, ref)
         for got, want in zip(grads, ref_grads):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -613,67 +661,84 @@ class TestFusedOps:
     def test_norm_linear_keeps_only_xhat_and_inv(self):
         rng = np.random.default_rng(31)
         x, gain, bias = _param(rng, (3, 7, 8)), _param(rng, (8,)), _param(rng, (8,))
-        pairs = [(_param(rng, (8, 8)), _param(rng, (8,))) for _ in range(3)]
+        w, b = _param(rng, (8, 16)), _param(rng, (16,))
         with E.Graph() as g:
-            E.norm_linear(x, gain, bias, pairs)
+            E.norm_linear(x, gain, bias, w, b)
         ((_parents, backward),) = g._nodes
-        params = {id(t.data) for t in (gain, bias, *(t for p in pairs for t in p))}
+        params = {id(t.data) for t in (gain, bias, w, b)}
         kept = [a for a in _closure_arrays(backward) if id(a) not in params]
         assert sorted(a.shape for a in kept) == [(3, 7, 1), (3, 7, 8)]
 
     @staticmethod
-    def _check_attention_against_old_chain(shape, heads, dtype):
-        # the parent's sequence: softmax attention, then its out-projection
+    def _check_attention_against_parent(shape, heads, dtype, capture):
+        # the parent's sequence: the layer norm and the q, k and v maps, as
+        # one layer_norm node and a linear node per map joined by concat,
+        # which is how norm_linear computed them, then attention over the
+        # joined q/k/v with its out-projection
+        b, n, d = shape
+        arrays = _attention_arrays(np.random.default_rng(22), b, n, 24, d, d + 4, dtype)
+
+        def parent(x, gain, bias, *wb, maps):
+            h = E.layer_norm(x, gain, bias)
+            qkv = E.concat([E.linear(h, w, b) for w, b in zip(wb[:6:2], wb[1:6:2])])
+            return qkv_attention(qkv, wb[6], wb[7], heads, maps)
+
+        runs = []
+        for op in (lambda *t, maps: _attention_op(heads, maps)(*t), parent):
+            maps = [] if capture else None
+            out, grads, _ = _run_fused(lambda *t: op(*t, maps=maps), arrays,
+                                       (b, n, d + 4), 23)
+            runs.append([out, *(maps or []), *grads])
+        assert len(runs[0]) == len(runs[1]) == 12 + capture
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+        # no tape: the norm's arrays are let go, and without a capture list
+        # the softmax ends in the block buffer
+        plain = _attention_op(heads, [] if capture else None)(*map(E.Tensor, arrays))
+        assert np.array_equal(plain.data, runs[1][0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [55, 180])
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_attention_matches_norm_maps_then_qkv_attention_bitwise(
+            self, dtype, n, capture):
+        # desk and stride-6 patch counts; at 180 each block is one sample
+        self._check_attention_against_parent((3, n, 32), 4, dtype, capture)
+
+    def test_attention_with_a_short_last_block_matches_parent_bitwise(self, monkeypatch):
+        # blocks of 2 samples
+        monkeypatch.setattr(E, "_ATTENTION_BLOCK_BYTES", 2 * 4 * 19 * 19 * 4)
+        self._check_attention_against_parent((5, 19, 16), 4, np.float32, True)
+
+    def test_qkv_attention_matches_old_chain_bitwise(self):
+        # the reference itself: softmax attention, then its out-projection
         # as a separate linear
         rng = np.random.default_rng(22)
-        q, k, v = (rng.standard_normal(shape).astype(dtype) for _ in range(3))
-        b, n, d = shape
-        w = (rng.standard_normal((d, d + 4)) * 0.2).astype(dtype)
-        bias = rng.standard_normal(d + 4).astype(dtype)
-        qkv = np.concatenate([q, k, v], axis=-1)
+        b, n, d, heads = 3, 55, 32, 4
+        q, k, v = (rng.standard_normal((b, n, d)).astype(np.float32) for _ in range(3))
+        w = (rng.standard_normal((d, d + 4)) * 0.2).astype(np.float32)
+        bias = rng.standard_normal(d + 4).astype(np.float32)
         y, ref_maps, _ = attention_reference(q, k, v, heads, np.zeros_like(q))
-        # backward rebuilds the maps, with or without a capture list
-        for capture in ([], None):
-            out, grads, g = _run_fused(
-                lambda *t: E.attention(*t, heads=heads, capture=capture),
-                (qkv, w, bias), (b, n, d + 4), 23)
-            ref, (gy, gw, gb) = _old_linear_chain(y, w, bias, g.astype(dtype))
-            _, _, qkv_grads = attention_reference(q, k, v, heads, gy)
-            ref_grads = (np.concatenate(qkv_grads, axis=-1), gw, gb)
-            assert out.dtype == dtype and np.array_equal(out, ref)
-            if capture is not None:
-                assert np.array_equal(capture[0], ref_maps)
-            for got, want in zip(grads, ref_grads):
-                assert got.dtype == dtype and np.array_equal(got, want)
-        # neither capture nor tape: the softmax ends in the block buffer
-        plain = E.attention(E.Tensor(qkv), E.Tensor(w), E.Tensor(bias), heads=heads)
-        assert np.array_equal(plain.data, ref)
-
-    def test_attention_matches_old_chain_bitwise(self, monkeypatch):
-        self._check_attention_against_old_chain((5, 19, 16), 4, np.float32)
-        self._check_attention_against_old_chain((5, 19, 16), 4, np.float64)
-        # desk and stride-6 patch counts
-        self._check_attention_against_old_chain((3, 55, 32), 4, np.float32)
-        self._check_attention_against_old_chain((2, 55, 32), 4, np.float64)
-        self._check_attention_against_old_chain((1, 180, 128), 4, np.float32)
-        self._check_attention_against_old_chain((2, 180, 32), 4, np.float64)
-        # blocks of 2 samples: the last block is short
-        monkeypatch.setattr(E, "_ATTENTION_BLOCK_BYTES", 2 * 4 * 19 * 19 * 4)
-        self._check_attention_against_old_chain((5, 19, 16), 4, np.float32)
+        capture = []
+        out, grads, g = _run_fused(lambda *t: qkv_attention(*t, heads, capture),
+                                   (np.concatenate([q, k, v], axis=-1), w, bias),
+                                   (b, n, d + 4), 23)
+        ref, (gy, gw, gb) = _old_linear_chain(y, w, bias, g)
+        _, _, qkv_grads = attention_reference(q, k, v, heads, gy)
+        assert np.array_equal(out, ref) and np.array_equal(capture[0], ref_maps)
+        for got, want in zip(grads, (np.concatenate(qkv_grads, axis=-1), gw, gb)):
+            assert np.array_equal(got, want)
 
     def test_block_size_does_not_change_results(self, monkeypatch):
-        rng = np.random.default_rng(24)
-        qkv = rng.standard_normal((5, 23, 36)).astype(np.float32)
-        w = rng.standard_normal((12, 12)).astype(np.float32)
-        bias = rng.standard_normal(12).astype(np.float32)
+        arrays = _attention_arrays(np.random.default_rng(24), 5, 23, 10, 12, 12,
+                                   np.float32)
         map_bytes = 3 * 23 * 23 * 4
         runs = []
         for samples in (1, 2, 5):
             monkeypatch.setattr(E, "_ATTENTION_BLOCK_BYTES", samples * map_bytes)
             capture = []
-            out, grads, _ = _run_fused(
-                lambda *t: E.attention(*t, heads=3, capture=capture),
-                (qkv, w, bias), (5, 23, 12), 25)
+            out, grads, _ = _run_fused(_attention_op(3, capture), arrays,
+                                       (5, 23, 12), 25)
             runs.append((out, capture[0], *grads))
         for other in runs[1:]:
             for got, want in zip(other, runs[0]):
@@ -735,40 +800,58 @@ class TestFusedOps:
         x, ones = E.Tensor(np.zeros((2, 3, 4))), E.Tensor(np.ones(4))
         w, b = E.Tensor(np.zeros((4, 5))), E.Tensor(np.zeros(5))
         with pytest.raises(E.ShapeError, match=r"\(2, 3, 4\), \(3, 5\) and \(5,\)"):
-            E.norm_linear(x, ones, ones, [(w, b), (E.Tensor(np.zeros((3, 5))), b)])
+            E.norm_linear(x, ones, ones, E.Tensor(np.zeros((3, 5))), b)
         with pytest.raises(E.ShapeError, match=r"\(4, 5\) and \(4,\)"):
-            E.norm_linear(x, ones, ones, [(w, ones)])
+            E.norm_linear(x, ones, ones, w, ones)
         with pytest.raises(E.ShapeError, match=r"must have shape \(4,\)"):
-            E.norm_linear(x, ones, E.Tensor(np.ones(3)), [(w, b)])
+            E.norm_linear(x, ones, E.Tensor(np.ones(3)), w, b)
 
     def test_attention_operand_shapes_checked(self):
+        x, ones = E.Tensor(np.zeros((2, 3, 6))), E.Tensor(np.ones(6))
+        m = (E.Tensor(np.zeros((6, 4))), E.Tensor(np.zeros(4)))
         w, b = E.Tensor(np.zeros((4, 4))), E.Tensor(np.zeros(4))
-        with pytest.raises(E.ShapeError, match=r"3 \* dim\), got \(2, 3, 10\)"):
-            E.attention(E.Tensor(np.zeros((2, 3, 10))), w, b, heads=2)
-        with pytest.raises(E.ShapeError, match=r"3 \* dim\), got \(3, 12\)"):
-            E.attention(E.Tensor(np.zeros((3, 12))), w, b, heads=2)
-        qkv = E.Tensor(np.zeros((2, 3, 12)))
+        with pytest.raises(E.ShapeError, match=r"v, got \(2, 3, 6\) and 2 maps"):
+            E.attention(x, ones, ones, [m, m], w, b, heads=2)
+        with pytest.raises(E.ShapeError, match=r"v, got \(3, 6\) and 3 maps"):
+            E.attention(E.Tensor(np.zeros((3, 6))), ones, ones, [m] * 3, w, b, heads=2)
+        wide = (E.Tensor(np.zeros((6, 5))), E.Tensor(np.zeros(5)))
+        with pytest.raises(E.ShapeError, match=r"one width, got \[4, 4, 5\]"):
+            E.attention(x, ones, ones, [m, m, wide], w, b, heads=2)
+        with pytest.raises(E.ShapeError, match="dim 4 does not split into 3 heads"):
+            E.attention(x, ones, ones, [m] * 3, w, b, heads=3)
         with pytest.raises(E.ShapeError, match=r"w \(4, d_out\).*\(5, 4\) and \(4,\)"):
-            E.attention(qkv, E.Tensor(np.zeros((5, 4))), b, heads=2)
+            E.attention(x, ones, ones, [m] * 3, E.Tensor(np.zeros((5, 4))), b, heads=2)
         with pytest.raises(E.ShapeError, match=r"\(4, 4\) and \(3,\)"):
-            E.attention(qkv, w, E.Tensor(np.zeros(3)), heads=2)
+            E.attention(x, ones, ones, [m] * 3, w, E.Tensor(np.zeros(3)), heads=2)
+        # each map's operands, and the norm's gain and bias
+        narrow = (E.Tensor(np.zeros((5, 4))), m[1])
+        with pytest.raises(E.ShapeError, match=r"\(2, 3, 6\), \(5, 4\) and \(4,\)"):
+            E.attention(x, ones, ones, [m, narrow, m], w, b, heads=2)
+        with pytest.raises(E.ShapeError, match=r"\(6, 4\) and \(6,\)"):
+            E.attention(x, ones, ones, [m, m, (m[0], ones)], w, b, heads=2)
+        with pytest.raises(E.ShapeError, match=r"must have shape \(6,\)"):
+            E.attention(x, ones, E.Tensor(np.ones(3)), [m] * 3, w, b, heads=2)
 
-    def test_recorded_attention_keeps_no_maps(self, monkeypatch):
-        # besides qkv and the out-projection's weight, backward keeps each
-        # row's max and normalizer: no maps, and not the heads' merged output
+    def test_recorded_attention_keeps_only_norm_and_softmax_statistics(
+            self, monkeypatch):
+        # backward keeps the norm's xhat and inv and each row's softmax max
+        # and normalizer: no q, k or v, no maps, and not the merged heads
         monkeypatch.setattr(E, "_ATTENTION_BLOCK_BYTES", 2 * 2 * 17 * 17 * 8)
         rng = np.random.default_rng(28)
-        b, n, d, heads = 3, 17, 8, 2
-        qkv, w, bias = _param(rng, (b, n, 3 * d)), _param(rng, (d, d)), _param(rng, (d,))
+        b, n, d_in, d, heads = 3, 17, 6, 8, 2
+        x, gain, bias = _param(rng, (b, n, d_in)), _param(rng, (d_in,)), _param(rng, (d_in,))
+        maps = [(_param(rng, (d_in, d)), _param(rng, (d,))) for _ in range(3)]
+        w, w_bias = _param(rng, (d, d)), _param(rng, (d,))
         with E.Graph() as g:
-            E.attention(qkv, w, bias, heads=heads)
+            E.attention(x, gain, bias, maps, w, w_bias, heads=heads)
         ((_parents, backward),) = g._nodes
-        kept = _closure_arrays(backward)
-        assert kept
+        params = {id(t.data) for t in (gain, bias, w, w_bias, *(t for m in maps for t in m))}
+        kept = [a for a in _closure_arrays(backward) if id(a) not in params]
+        assert sorted(a.shape for a in kept) == [
+            (b, heads, n, 1), (b, heads, n, 1), (b, n, 1), (b, n, d_in)]
         for a in kept:
             storage = a if a.base is None else a.base
-            assert (storage is qkv.data or storage is w.data
-                    or storage.size <= 2 * b * heads * n), a.shape
+            assert storage.size <= max(b * n * d_in, 2 * b * heads * n), a.shape
 
     def test_eval_attention_keeps_no_maps(self):
         q = E.Tensor(np.ones((1, 3, 4)))

@@ -57,7 +57,7 @@ def test_tracer_installs_and_uninstalls_on_current_modules():
         assert after[key] is value, key
 
 
-def test_traced_desk_step_counts_72_tape_nodes():
+def test_traced_desk_step_counts_63_tape_nodes():
     # perfbench/run.py fails a traced run whose train steps record differing
     # node counts; the tracer reads len(graph) after backward has run
     tracer = _import_tracing().Tracer()
@@ -74,7 +74,7 @@ def test_traced_desk_step_counts_72_tape_nodes():
             make_loss(LossConfig(kind))(np.ones((2, 2)), E.Tensor(np.ones((2, 2))))
     finally:
         tracer.uninstall()
-    assert [n for _, _, n in tracer.samples["engine.tape_nodes"]] == [72]
+    assert [n for _, _, n in tracer.samples["engine.tape_nodes"]] == [63]
     assert all(p.grad is not None for p in model.parameters())
     # losses.loss_ms reads these span names: every kind's loss runs under one
     loss_spans = [s[0] for s in tracer.spans if s[0].startswith("losses.")]
@@ -86,8 +86,10 @@ def test_traced_desk_step_counts_72_tape_nodes():
            if inspect.isfunction(getattr(E, name))}
     spans = tracer.spans
     op_spans = [s for s in spans if s[0] in ops]
-    # 18 pre-norm projections: q/k/v and fc1 in each of the 9 blocks
-    assert sum(s[0] == "engine.norm_linear" for s in op_spans) == 18
+    # each of the 9 blocks runs its attention sublayer and its fc1 with its
+    # layer norm as one op each
+    assert sum(s[0] == "engine.attention" for s in op_spans) == 9
+    assert sum(s[0] == "engine.norm_linear" for s in op_spans) == 9
     nested = [(s[0], spans[s[3]][0]) for s in op_spans
               if s[3] >= 0 and spans[s[3]][0].startswith("engine.")]
     assert nested == []
