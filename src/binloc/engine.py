@@ -438,16 +438,13 @@ def _norm_maps(op: str, x: Tensor, gain: Tensor, bias: Tensor,
 
     Each map's GEMM writes its own column slice, so the bits are those of
     ``linear`` on the norm's output. Returns that array and, when ``taped``,
-    the three functions an op's backward uses, which keep only the norm's
-    ``xhat`` and ``inv``:
-
-    - ``rebuild()``, the norm's output as (rows, d_in), rebuilt from them
-      with the forward's own operations;
-    - ``remap(flat)``, the maps of ``flat`` as the forward computes them;
-    - ``grads(g, flat)``, the gradients of x, gain, bias and each map's w
-      and b from the output's (rows, width) gradient ``g`` and the rebuilt
-      ``flat``, which it spends. The maps' input gradients are summed last
-      map first, as the tape sums separate ``linear`` nodes.
+    a backward that keeps only the norm's ``xhat`` and ``inv``. It rebuilds
+    the norm's output from them with the forward's own operations and
+    returns the gradients of x, gain, bias and each map's w and b. Its
+    argument is the output's (rows, width) gradient, or, for an op that
+    reads the maps, a function that takes the maps, rebuilt in the same way,
+    and returns their gradient. The maps' input gradients are summed last
+    map first, as the tape sums separate ``linear`` nodes.
     """
     n = x.data.shape[-1]
     cols, width = [], 0
@@ -460,7 +457,7 @@ def _norm_maps(op: str, x: Tensor, gain: Tensor, bias: Tensor,
         width += w.data.shape[1]
     weights, biases = [w.data for w, _ in pairs], [b.data for _, b in pairs]
 
-    def remap(flat):
+    def maps(flat):
         out = np.empty((len(flat), width), np.result_type(flat, *weights))
         for w, c in zip(weights, cols):
             np.matmul(flat, w, out=out[:, c])
@@ -470,7 +467,7 @@ def _norm_maps(op: str, x: Tensor, gain: Tensor, bias: Tensor,
         return out
 
     normed, xhat, inv = _norm(x, gain, bias)
-    out = remap(normed.reshape(-1, n))
+    out = maps(normed.reshape(-1, n))
     if not taped:
         return out, None
     gain_data, bias_data, shape = gain.data, bias.data, x.data.shape
@@ -478,10 +475,10 @@ def _norm_maps(op: str, x: Tensor, gain: Tensor, bias: Tensor,
     need_w = [w.requires_grad for w, _ in pairs]
     need_b = [b.requires_grad for _, b in pairs]
 
-    def rebuild():
-        return _affine(xhat, gain_data, bias_data, np.empty_like(xhat)).reshape(-1, n)
-
-    def grads(g, flat):
+    def backward(g):
+        flat = _affine(xhat, gain_data, bias_data, np.empty_like(xhat)).reshape(-1, n)
+        if callable(g):
+            g = g(maps(flat))
         gnorm = None
         for wd, c in zip(weights[::-1], cols[::-1]):  # last map first
             part = g[:, c] @ wd.T
@@ -489,13 +486,14 @@ def _norm_maps(op: str, x: Tensor, gain: Tensor, bias: Tensor,
         # one column sum for every bias: an axis-0 sum adds the rows in the
         # same order over all columns as over one map's
         gb = g.sum(axis=0) if any(need_b) else None
-        maps = []
+        grads = []
         for c, nw, nb in zip(cols, need_w, need_b):
-            maps += (flat.T @ g[:, c] if nw else None, gb[c] if nb else None)
+            grads += (flat.T @ g[:, c] if nw else None, gb[c] if nb else None)
+        # the rebuilt norm output is spent last, as the norm backward's scratch
         return (*_norm_backward(gnorm.reshape(shape), xhat, inv, gain_data, *needs,
-                                flat.reshape(shape)), *maps)
+                                flat.reshape(shape)), *grads)
 
-    return out, (rebuild, remap, grads)
+    return out, backward
 
 
 def norm_linear(x: Tensor, gain: Tensor, bias: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -506,14 +504,12 @@ def norm_linear(x: Tensor, gain: Tensor, bias: Tensor, w: Tensor, b: Tensor) -> 
     rebuilds the norm's output from them with the forward's own operations.
     """
     inputs = (x, gain, bias, w, b)
-    out, redo = _norm_maps("norm_linear", x, gain, bias, [(w, b)],
-                           _recording(inputs) is not None)
+    out, backward = _norm_maps("norm_linear", x, gain, bias, [(w, b)],
+                               _recording(inputs) is not None)
     out = out.reshape(x.data.shape[:-1] + (out.shape[1],))
-    if redo is None:
+    if backward is None:
         return Tensor(out)
-    rebuild, _, grads = redo
-    return _record_op(inputs, out,
-                      lambda g: grads(g.reshape(-1, g.shape[-1]), rebuild()))
+    return _record_op(inputs, out, lambda g: backward(g.reshape(-1, g.shape[-1])))
 
 
 # Byte budget of one batch block's (heads, n, n) attention maps. A block's
@@ -562,8 +558,8 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor,
             f"attention's output projection needs w ({dim}, d_out) and b (d_out,), "
             f"got {w.shape} and {b.shape}")
     inputs = (x, gain, bias, *(t for pair in pairs for t in pair), w, b)
-    qkv, redo = _norm_maps("attention", x, gain, bias, pairs,
-                           _recording(inputs) is not None)
+    qkv, maps_backward = _norm_maps("attention", x, gain, bias, pairs,
+                                    _recording(inputs) is not None)
     dh = dim // heads
     c = 1.0 / math.sqrt(dh)
     dtype = qkv.dtype
@@ -604,41 +600,44 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor,
     out = y.reshape(-1, dim) @ w.data
     out += b.data
     out = out.reshape(batch, n, w.data.shape[1])
-    if redo is None:
+    if maps_backward is None:
         return Tensor(out)
-    rebuild, remap, grads = redo
     wd, need_w, need_b = w.data, w.requires_grad, b.requires_grad
 
     def backward(g):
         g = g.reshape(-1, g.shape[-1])
-        flat = rebuild()
-        qs, ks, vs = thirds(remap(flat))  # the forward's q, k and v
-        gy = split(g @ wd.T)
-        grad = np.empty((batch, n, 3 * dim), dtype)
-        gq, gk, gv = thirds(grad)
         y = np.empty((batch, n, dim), dtype) if need_w else None
-        ys = None if y is None else split(y)
-        bufs = np.empty((3, step, heads, n, n), dtype)
-        for blk in blocks:
-            p, glogits, product = bufs[:, :blk.stop - blk.start]
-            # the forward's maps, and its y, rebuilt by its own operations
-            logits(qs, ks, blk, p)
-            np.subtract(p, shift[blk], out=p)
-            np.exp(p, out=p)
-            np.divide(p, norm[blk], out=p)
-            if ys is not None:
-                ys[blk] = p @ vs[blk]
-            # glogits = (p * (gp - sum(gp * p))) * c, built up in place from gp
-            np.matmul(gy[blk], np.swapaxes(vs[blk], -1, -2), out=glogits)
-            gv[blk] = np.swapaxes(p, -1, -2) @ gy[blk]
-            rowdot = np.multiply(glogits, p, out=product).sum(axis=-1, keepdims=True)
-            np.subtract(glogits, rowdot, out=glogits)
-            np.multiply(p, glogits, out=glogits)
-            np.multiply(glogits, c, out=glogits)
-            gq[blk] = glogits @ ks[blk]
-            gk[blk] = np.swapaxes(np.swapaxes(qs[blk], -1, -2) @ glogits, -1, -2)
+
+        def qkv_grad(qkv):  # from the forward's q, k and v, rebuilt
+            qs, ks, vs = thirds(qkv)
+            gy = split(g @ wd.T)
+            grad = np.empty((batch, n, 3 * dim), dtype)
+            gq, gk, gv = thirds(grad)
+            ys = None if y is None else split(y)
+            bufs = np.empty((3, step, heads, n, n), dtype)
+            for blk in blocks:
+                p, glogits, product = bufs[:, :blk.stop - blk.start]
+                # the forward's maps, and its y, rebuilt by its own operations
+                logits(qs, ks, blk, p)
+                np.subtract(p, shift[blk], out=p)
+                np.exp(p, out=p)
+                np.divide(p, norm[blk], out=p)
+                if ys is not None:
+                    ys[blk] = p @ vs[blk]
+                # glogits = (p * (gp - sum(gp * p))) * c, built up in place from gp
+                np.matmul(gy[blk], np.swapaxes(vs[blk], -1, -2), out=glogits)
+                gv[blk] = np.swapaxes(p, -1, -2) @ gy[blk]
+                rowdot = np.multiply(glogits, p, out=product).sum(axis=-1, keepdims=True)
+                np.subtract(glogits, rowdot, out=glogits)
+                np.multiply(p, glogits, out=glogits)
+                np.multiply(glogits, c, out=glogits)
+                gq[blk] = glogits @ ks[blk]
+                gk[blk] = np.swapaxes(np.swapaxes(qs[blk], -1, -2) @ glogits, -1, -2)
+            return grad.reshape(-1, 3 * dim)
+
+        grads = maps_backward(qkv_grad)
         gw = y.reshape(-1, dim).T @ g if need_w else None
         gb = g.sum(axis=0) if need_b else None
-        return (*grads(grad.reshape(-1, 3 * dim), flat), gw, gb)
+        return (*grads, gw, gb)
 
     return _record_op(inputs, out, backward)

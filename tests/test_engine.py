@@ -674,9 +674,10 @@ class TestFusedOps:
         # the parent's sequence: the layer norm and the q, k and v maps, as
         # one layer_norm node and a linear node per map joined by concat,
         # which is how norm_linear computed them, then attention over the
-        # joined q/k/v with its out-projection
-        b, n, d = shape
-        arrays = _attention_arrays(np.random.default_rng(22), b, n, 24, d, d + 4, dtype)
+        # joined q/k/v with its out-projection; shape is (batch, n, d_in,
+        # dim, d_out)
+        b, n, d_in, d, d_out = shape
+        arrays = _attention_arrays(np.random.default_rng(22), b, n, d_in, d, d_out, dtype)
 
         def parent(x, gain, bias, *wb, maps):
             h = E.layer_norm(x, gain, bias)
@@ -687,7 +688,7 @@ class TestFusedOps:
         for op in (lambda *t, maps: _attention_op(heads, maps)(*t), parent):
             maps = [] if capture else None
             out, grads, _ = _run_fused(lambda *t: op(*t, maps=maps), arrays,
-                                       (b, n, d + 4), 23)
+                                       (b, n, d_out), 23)
             runs.append([out, *(maps or []), *grads])
         assert len(runs[0]) == len(runs[1]) == 12 + capture
         for got, want in zip(*runs):
@@ -697,18 +698,25 @@ class TestFusedOps:
         plain = _attention_op(heads, [] if capture else None)(*map(E.Tensor, arrays))
         assert np.array_equal(plain.data, runs[1][0])
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [55, 180])
     @pytest.mark.parametrize("capture", [False, True])
-    def test_attention_matches_norm_maps_then_qkv_attention_bitwise(
-            self, dtype, n, capture):
+    @pytest.mark.parametrize("shape,dtype", [
+        ((5, 19, 24, 16, 20), np.float32), ((5, 19, 24, 16, 20), np.float64),
         # desk and stride-6 patch counts; at 180 each block is one sample
-        self._check_attention_against_parent((3, n, 32), 4, dtype, capture)
+        ((3, 55, 24, 32, 36), np.float32), ((3, 55, 24, 32, 36), np.float64),
+        ((2, 55, 24, 32, 36), np.float64),
+        ((3, 180, 24, 32, 36), np.float32), ((3, 180, 24, 32, 36), np.float64),
+        ((2, 180, 24, 32, 36), np.float64),
+        # the desk model's width at one sample per block: GEMM shapes set the bits
+        ((1, 180, 128, 128, 128), np.float32),
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else np.dtype(v).name)
+    def test_attention_matches_norm_maps_then_qkv_attention_bitwise(
+            self, shape, dtype, capture):
+        self._check_attention_against_parent(shape, 4, dtype, capture)
 
     def test_attention_with_a_short_last_block_matches_parent_bitwise(self, monkeypatch):
         # blocks of 2 samples
         monkeypatch.setattr(E, "_ATTENTION_BLOCK_BYTES", 2 * 4 * 19 * 19 * 4)
-        self._check_attention_against_parent((5, 19, 16), 4, np.float32, True)
+        self._check_attention_against_parent((5, 19, 24, 16, 20), 4, np.float32, True)
 
     def test_qkv_attention_matches_old_chain_bitwise(self):
         # the reference itself: softmax attention, then its out-projection
