@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .frontend import FrontendConfig
@@ -37,10 +38,23 @@ class ExperimentConfig:
     use_cache: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        stop = self.early_stop_train_ad
+        if stop is not None and not (math.isfinite(stop) and stop > 0):
+            raise ValueError(
+                f"early_stop_train_ad must be finite and positive, got {stop}")
+        bins = self.frontend.nfft // 2 + 1
+        if self.model.height != bins:
+            raise ValueError(
+                f"height {self.model.height} must equal frontend_nfft // 2 + 1 = "
+                f"{bins}, the frontend's frequency bins")
         if self.env_filter not in ENV_FILTERS:
             raise ValueError(
                 f"env_filter must be one of {ENV_FILTERS}, got {self.env_filter!r}")

@@ -291,6 +291,8 @@ def _into(ufunc, x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 def _norm(a: Tensor, gain: Tensor, bias: Tensor):
     """The layer norm of ``a``'s last axis: its output, ``xhat`` and ``inv``."""
+    if a.data.ndim < 1:
+        raise ShapeError(f"layer_norm needs x (..., n), got shape {a.shape}")
     n = a.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise ShapeError(
@@ -403,94 +405,113 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
 # fused layers: one tape node each, with a hand-written backward
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` over the last axis of an N-D ``x``.
+def _affine_maps(op: str, shape: tuple[int, ...],
+                 pairs: Sequence[tuple[Tensor, Tensor]]):
+    """The affine maps ``flat @ w + b``, one per ``(w, b)`` in ``pairs``, of
+    an input of ``shape`` whose leading axes are flattened into the rows of
+    ``flat``: every weight GEMM of the engine's ops runs here.
 
-    ``w`` is (d_in, d_out) and ``b`` is (d_out,); the leading axes of ``x``
-    are flattened into the rows of one GEMM.
+    Checks each map's operands, then returns the output's width and three
+    functions of that (rows, width) output, where the maps sit side by side
+    in the columns:
+
+    - ``forward(flat)`` runs one GEMM per map into its column slice, so the
+      bits are those of the map alone, then one bias add over whole rows:
+      adding into each strided column slice runs about 3x slower per
+      element;
+    - ``grad_x(g)`` is the input's gradient from the output's gradient
+      ``g``, summed last map first, as the tape sums separate nodes;
+    - ``grad_params(flat, g)`` lists each map's w and b gradients, None
+      where one needs none; ``flat`` is read only for a w gradient.
     """
-    if (w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0]
-            or b.shape != (w.shape[1],)):
-        raise ShapeError(
-            f"linear needs x (..., d_in), w (d_in, d_out) and b (d_out,), got "
-            f"{x.shape}, {w.shape} and {b.shape}")
-    flat = x.data.reshape(-1, x.shape[-1])
-    out = flat @ w.data
-    out += b.data
-    wd, shape = w.data, x.shape
-    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
-
-    def backward(g):
-        g = g.reshape(-1, g.shape[-1])
-        gx = (g @ wd.T).reshape(shape) if need_x else None
-        gw = flat.T @ g if need_w else None
-        gb = g.sum(axis=0) if need_b else None
-        return gx, gw, gb
-
-    return _record_op((x, w, b), out.reshape(x.shape[:-1] + (w.shape[1],)), backward)
-
-
-def _norm_maps(op: str, x: Tensor, gain: Tensor, bias: Tensor,
-               pairs: Sequence[tuple[Tensor, Tensor]], taped: bool):
-    """``layer_norm(x, gain, bias)`` fed to one affine map per ``(w, b)`` in
-    ``pairs``, their outputs side by side in the columns of one (rows,
-    width) array: a pre-norm block's q, k and v, or its first MLP layer.
-
-    Each map's GEMM writes its own column slice, so the bits are those of
-    ``linear`` on the norm's output. Returns that array and, when ``taped``,
-    a backward that keeps only the norm's ``xhat`` and ``inv``. It rebuilds
-    the norm's output from them with the forward's own operations and
-    returns the gradients of x, gain, bias and each map's w and b. Its
-    argument is the output's (rows, width) gradient, or, for an op that
-    reads the maps, a function that takes the maps, rebuilt in the same way,
-    and returns their gradient. The maps' input gradients are summed last
-    map first, as the tape sums separate ``linear`` nodes.
-    """
-    n = x.data.shape[-1]
+    d_in = shape[-1] if shape else "d_in"
     cols, width = [], 0
     for w, b in pairs:
-        if w.data.ndim != 2 or w.data.shape[0] != n or b.data.shape != (w.data.shape[1],):
+        if (not shape or w.data.ndim != 2 or w.data.shape[0] != d_in
+                or b.data.shape != (w.data.shape[1],)):
             raise ShapeError(
-                f"{op} needs x (..., d_in), w (d_in, d_out) and b (d_out,), "
-                f"got {x.shape}, {w.shape} and {b.shape}")
+                f"{op} needs x (..., {d_in}), w ({d_in}, d_out) and b (d_out,), "
+                f"got {shape}, {w.shape} and {b.shape}")
         cols.append(slice(width, width + w.data.shape[1]))
         width += w.data.shape[1]
     weights, biases = [w.data for w, _ in pairs], [b.data for _, b in pairs]
-
-    def maps(flat):
-        out = np.empty((len(flat), width), np.result_type(flat, *weights))
-        for w, c in zip(weights, cols):
-            np.matmul(flat, w, out=out[:, c])
-        # one bias add over whole rows: adding into each strided column slice
-        # runs about 3x slower per element
-        out += np.concatenate(biases)
-        return out
-
-    normed, xhat, inv = _norm(x, gain, bias)
-    out = maps(normed.reshape(-1, n))
-    if not taped:
-        return out, None
-    gain_data, bias_data, shape = gain.data, bias.data, x.data.shape
-    needs = x.requires_grad, gain.requires_grad, bias.requires_grad
     need_w = [w.requires_grad for w, _ in pairs]
     need_b = [b.requires_grad for _, b in pairs]
 
-    def backward(g):
-        flat = _affine(xhat, gain_data, bias_data, np.empty_like(xhat)).reshape(-1, n)
-        if callable(g):
-            g = g(maps(flat))
-        gnorm = None
-        for wd, c in zip(weights[::-1], cols[::-1]):  # last map first
-            part = g[:, c] @ wd.T
-            gnorm = part if gnorm is None else _into(np.add, gnorm, part, gnorm)
+    def forward(flat):
+        out = np.empty((len(flat), width), np.result_type(flat, *weights))
+        for w, c in zip(weights, cols):
+            np.matmul(flat, w, out=out[:, c])
+        out += np.concatenate(biases)
+        return out
+
+    def grad_x(g):
+        gx = None
+        for w, c in zip(weights[::-1], cols[::-1]):
+            part = g[:, c] @ w.T
+            gx = part if gx is None else _into(np.add, gx, part, gx)
+        return gx
+
+    def grad_params(flat, g):
         # one column sum for every bias: an axis-0 sum adds the rows in the
         # same order over all columns as over one map's
         gb = g.sum(axis=0) if any(need_b) else None
         grads = []
         for c, nw, nb in zip(cols, need_w, need_b):
             grads += (flat.T @ g[:, c] if nw else None, gb[c] if nb else None)
+        return grads
+
+    return width, forward, grad_x, grad_params
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` over the last axis of an N-D ``x``.
+
+    ``w`` is (d_in, d_out) and ``b`` is (d_out,); the leading axes of ``x``
+    are flattened into the rows of one GEMM.
+    """
+    shape = x.data.shape
+    width, forward, grad_x, grad_params = _affine_maps("linear", shape, [(w, b)])
+    flat = x.data.reshape(-1, shape[-1])
+    need_x = x.requires_grad
+
+    def backward(g):
+        g = g.reshape(-1, g.shape[-1])
+        return grad_x(g).reshape(shape) if need_x else None, *grad_params(flat, g)
+
+    return _record_op((x, w, b), forward(flat).reshape(shape[:-1] + (width,)), backward)
+
+
+def _norm_maps(op: str, x: Tensor, gain: Tensor, bias: Tensor,
+               pairs: Sequence[tuple[Tensor, Tensor]], taped: bool):
+    """``layer_norm(x, gain, bias)`` fed to ``_affine_maps`` with ``pairs``:
+    a pre-norm block's q, k and v, or its first MLP layer, side by side in
+    the columns of one (rows, width) array.
+
+    Returns that array and, when ``taped``, a backward that keeps only the
+    norm's ``xhat`` and ``inv``. It rebuilds the norm's output from them
+    with the forward's own operations and returns the gradients of x, gain,
+    bias and each map's w and b. Its argument is the output's (rows, width)
+    gradient, or, for an op that reads the maps, a function that takes the
+    maps, rebuilt in the same way, and returns their gradient.
+    """
+    shape = x.data.shape
+    _, maps, grad_x, grad_params = _affine_maps(op, shape, pairs)
+    n = shape[-1]
+    normed, xhat, inv = _norm(x, gain, bias)
+    out = maps(normed.reshape(-1, n))
+    if not taped:
+        return out, None
+    gain_data, bias_data = gain.data, bias.data
+    needs = x.requires_grad, gain.requires_grad, bias.requires_grad
+
+    def backward(g):
+        flat = _affine(xhat, gain_data, bias_data, np.empty_like(xhat)).reshape(-1, n)
+        if callable(g):
+            g = g(maps(flat))
+        gnorm, grads = grad_x(g).reshape(shape), grad_params(flat, g)
         # the rebuilt norm output is spent last, as the norm backward's scratch
-        return (*_norm_backward(gnorm.reshape(shape), xhat, inv, gain_data, *needs,
+        return (*_norm_backward(gnorm, xhat, inv, gain_data, *needs,
                                 flat.reshape(shape)), *grads)
 
     return out, backward
@@ -553,10 +574,8 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor,
     dim = widths[0]
     if heads < 1 or dim % heads:
         raise ShapeError(f"attention dim {dim} does not split into {heads} heads")
-    if w.data.ndim != 2 or w.data.shape[0] != dim or b.data.shape != (w.data.shape[1],):
-        raise ShapeError(
-            f"attention's output projection needs w ({dim}, d_out) and b (d_out,), "
-            f"got {w.shape} and {b.shape}")
+    d_out, project, project_grad_x, project_grad_params = _affine_maps(
+        "attention's output projection", (batch, n, dim), [(w, b)])
     inputs = (x, gain, bias, *(t for pair in pairs for t in pair), w, b)
     qkv, maps_backward = _norm_maps("attention", x, gain, bias, pairs,
                                     _recording(inputs) is not None)
@@ -597,12 +616,10 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor,
         ys[blk] = p @ vs[blk]
     if capture is not None:
         capture.append(probs)
-    out = y.reshape(-1, dim) @ w.data
-    out += b.data
-    out = out.reshape(batch, n, w.data.shape[1])
+    out = project(y.reshape(-1, dim)).reshape(batch, n, d_out)
     if maps_backward is None:
         return Tensor(out)
-    wd, need_w, need_b = w.data, w.requires_grad, b.requires_grad
+    need_w = w.requires_grad
 
     def backward(g):
         g = g.reshape(-1, g.shape[-1])
@@ -610,7 +627,7 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor,
 
         def qkv_grad(qkv):  # from the forward's q, k and v, rebuilt
             qs, ks, vs = thirds(qkv)
-            gy = split(g @ wd.T)
+            gy = split(project_grad_x(g))
             grad = np.empty((batch, n, 3 * dim), dtype)
             gq, gk, gv = thirds(grad)
             ys = None if y is None else split(y)
@@ -636,8 +653,6 @@ def attention(x: Tensor, gain: Tensor, bias: Tensor,
             return grad.reshape(-1, 3 * dim)
 
         grads = maps_backward(qkv_grad)
-        gw = y.reshape(-1, dim).T @ g if need_w else None
-        gb = g.sum(axis=0) if need_b else None
-        return (*grads, gw, gb)
+        return (*grads, *project_grad_params(None if y is None else y.reshape(-1, dim), g))
 
     return _record_op(inputs, out, backward)

@@ -74,6 +74,17 @@ class FrontendConfig:
     log_compress: bool = True
     standardize: bool = True
 
+    def __post_init__(self):
+        if self.hop < 1:
+            raise FrontendError(f"hop must be >= 1, got {self.hop}")
+        if self.window_length < 2:
+            raise FrontendError(f"window_length must be >= 2, got {self.window_length}")
+        if self.nfft < self.window_length:
+            raise FrontendError(
+                f"nfft {self.nfft} must be >= window_length {self.window_length}")
+        if not 0.0 <= self.tukey_shape <= 1.0:
+            raise FrontendError(f"tukey_shape must be in [0, 1], got {self.tukey_shape}")
+
     def n_frames(self, n_samples: int) -> int:
         return (n_samples - self.window_length) // self.hop + 1
 

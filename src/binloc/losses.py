@@ -40,7 +40,7 @@ class LossConfig:
                 f"loss kind must be {'|'.join(LOSS_KINDS)}, got {self.kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise LossError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise LossError(f"epsilon must be positive, got {self.epsilon}")
 
 

@@ -61,6 +61,9 @@ class ModelConfig:
         if self.integration not in INTEGRATIONS:
             raise ConfigError(
                 f"integration must be one of {INTEGRATIONS}, got {self.integration!r}")
+        for name in ("height", "width", "patch", "stride", "dim", "heads", "mlp_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ConfigError(
                 f"dim {self.dim} not divisible by heads {self.heads}")
@@ -68,9 +71,6 @@ class ModelConfig:
             raise ConfigError(f"dim must be divisible by 4, got {self.dim}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        for name in ("height", "width", "patch", "stride"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
         if self.layers < 0:
             raise ConfigError("layers must be >= 0")
 

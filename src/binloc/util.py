@@ -77,17 +77,19 @@ def _parse(key: str, text, hint):
 
 
 def _rebuild(cfg, values: dict, prefix: str = ""):
-    changes, given = {}, []
+    changes = {}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if is_dataclass(value):
             changes[f.name] = _rebuild(value, values, prefix + _prefix(f))
         elif prefix + f.name in values:
             changes[f.name] = values[prefix + f.name]
-            given.append(prefix + f.name)
     try:
         return replace(cfg, **changes)
     except ValueError as exc:  # the config's own validation
+        # the given keys of this config and of the configs nested in it: a
+        # check across fields may reject a key given to a nested config
+        given = [key for key, _, _ in _leaves(cfg, prefix) if key in values]
         raise ValueError(
             f"config key {', '.join(map(repr, given))}: {exc}") from None
 

@@ -64,6 +64,18 @@ def tsum(a, axis=None):
                         backward)
 
 
+def linear_reference(x, w, b, g):
+    """``x @ w + b`` over the last axis of ``x`` and its x, w and b gradients
+    for upstream gradient ``g``, with the expressions ``engine.linear`` used
+    before every weight GEMM went through one routine."""
+    flat = x.reshape(-1, x.shape[-1])
+    out = flat @ w
+    out += b
+    g = g.reshape(-1, g.shape[-1])
+    return (out.reshape(x.shape[:-1] + (w.shape[1],)),
+            ((g @ w.T).reshape(x.shape), flat.T @ g, g.sum(axis=0)))
+
+
 def attention_reference(q, k, v, heads, g):
     """Multi-head softmax attention over (batch, n, dim) arrays as the split
     -> matmul -> scale -> softmax -> matmul -> merge chain, with each

@@ -61,6 +61,27 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run"), "--config", str(config)]) == 1
         assert "'layerz'; did you mean 'layers'?" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, reason", [
+        ("heads=0", "heads must be positive"), ("dim=0", "dim must be positive"),
+        ("mlp_dim=0", "mlp_dim must be positive"),
+        ("lr=nan", "lr must be finite and positive"),
+        ("lr=-1", "lr must be finite and positive"),
+        ("frontend_hop=0", "hop must be >= 1"),
+        ("frontend_window_length=1", "window_length must be >= 2"),
+        ("frontend_tukey_shape=2", "tukey_shape must be in [0, 1]"),
+        ("frontend_nfft=100", "nfft 100 must be >= window_length 256"),
+        ("frontend_nfft=512", "height 129 must equal frontend_nfft // 2 + 1 = 257")])
+    def test_invalid_train_setting_is_usage_error(self, setting, reason, micro_corpus,
+                                                  tmp_path, capsys):
+        # a tiny one-epoch run, were the setting accepted
+        out = tmp_path / "run"
+        tiny = ["dim=16", "heads=2", "mlp_dim=16", "layers=1", "stride=24", setting]
+        assert main(["train", "--manifest", str(micro_corpus[0]), "--out", str(out),
+                     "--epochs", "1", *(a for s in tiny for a in ("--set", s))]) == 1
+        err = capsys.readouterr().err
+        assert f"'{setting.split('=')[0]}'" in err and reason in err
+        assert not out.exists()  # rejected before the corpus is read
+
     @pytest.mark.parametrize("args", [
         ["--azimuths", "abc"], ["--azimuths", "5"], ["--sources", "0"],
         ["--ratio", "2"], ["--test-sources", "-1"]])

@@ -7,7 +7,7 @@ import pytest
 
 from binloc.cli import main
 from binloc.config import ExperimentConfig, desk_profile, full_profile
-from binloc.frontend import FrontendConfig
+from binloc.frontend import FrontendConfig, FrontendError
 from binloc.losses import LossConfig
 from binloc.model import ModelConfig
 from binloc.spatial import SceneConfig
@@ -165,6 +165,54 @@ class TestFromKv:
     def test_rejected_value_names_key(self, key, text):
         with pytest.raises(ValueError, match=f"config key '{key}'"):
             from_kv(desk_profile(), {key: text})
+
+
+# invalid values for every numeric key of the experiment config
+INVALID = {
+    "height": ["0", "65"], "width": ["0"], "patch": ["0"], "stride": ["0"],
+    "dim": ["0", "-4"], "layers": ["-1"], "heads": ["0", "-2"],
+    "mlp_dim": ["0", "-1"], "dropout": ["1.0", "nan"],
+    "loss_alpha": ["1.5", "nan"], "loss_epsilon": ["0", "nan"],
+    "frontend_window_length": ["1"], "frontend_hop": ["0"],
+    "frontend_nfft": ["100", "512"], "frontend_tukey_shape": ["2", "-0.5", "nan"],
+    "lr": ["nan", "inf", "-1", "0"], "batch": ["0"], "epochs": ["0"],
+    "seed": ["-1"], "early_stop_train_ad": ["-1", "0", "nan", "inf"],
+}
+
+
+class TestValidation:
+    def test_every_numeric_key_has_invalid_values(self):
+        # a new numeric knob needs its invalid values here, and a check
+        numeric = [key for key, value in to_kv(desk_profile()).items()
+                   if not isinstance(value, (bool, str))]
+        assert sorted(INVALID) == sorted(numeric)
+
+    @pytest.mark.parametrize("key, text", [
+        (key, text) for key, texts in INVALID.items() for text in texts])
+    def test_invalid_value_names_key(self, key, text):
+        with pytest.raises(ValueError, match=f"config key '{key}': "):
+            from_kv(desk_profile(), {key: text})
+
+    @pytest.mark.parametrize("kv, message", [
+        ({"frontend_nfft": "512"}, "height 129 must equal frontend_nfft // 2 + 1 = 257"),
+        ({"height": "65"}, "height 65 must equal frontend_nfft // 2 + 1 = 129")])
+    def test_height_must_match_frontend_bins(self, kv, message):
+        with pytest.raises(ValueError) as info:
+            from_kv(desk_profile(), kv)
+        assert str(info.value).startswith(f"config key '{next(iter(kv))}': {message}")
+
+    def test_height_and_frontend_bins_change_together(self):
+        cfg = from_kv(desk_profile(), {"height": "257", "frontend_nfft": "512"})
+        assert (cfg.model.height, cfg.frontend.nfft) == (257, 512)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"hop": 0}, "hop must be >= 1, got 0"),
+        ({"window_length": 1, "nfft": 1}, "window_length must be >= 2, got 1"),
+        ({"nfft": 128}, "nfft 128 must be >= window_length 256"),
+        ({"tukey_shape": 1.5}, r"tukey_shape must be in \[0, 1\], got 1.5")])
+    def test_frontend_config_checks_itself(self, kwargs, message):
+        with pytest.raises(FrontendError, match=message):
+            FrontendConfig(**kwargs)
 
 
 class TestReadKv:

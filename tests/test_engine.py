@@ -15,6 +15,7 @@ from binloc.optim import AdamState, OptimizerError, adam_step, cosine_lr
 from helpers import (
     attention_reference,
     central_diff,
+    linear_reference,
     max_rel_err,
     mul,
     qkv_attention,
@@ -625,16 +626,30 @@ class TestFusedOps:
         for got, want in zip(grads, ref_grads):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    def test_linear_matches_old_chain_bitwise(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=lambda v: np.dtype(v).name)
+    # 3-D and 2-D input, and an empty batch of each
+    @pytest.mark.parametrize("shape", [(4, 7, 24), (9, 24), (0, 7, 24), (0, 24)],
+                             ids=lambda v: "x".join(map(str, v)))
+    # an input without a gradient, as the patches ``embed`` projects
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_const"])
+    def test_linear_matches_old_chain_bitwise(self, dtype, shape, x_grad):
         rng = np.random.default_rng(20)
-        x = rng.standard_normal((4, 7, 24)).astype(np.float32)
-        w = (rng.standard_normal((24, 40)) * 0.1).astype(np.float32)
-        b = rng.standard_normal(40).astype(np.float32)
-        out, grads, g = _run_fused(E.linear, (x, w, b), (4, 7, 40), 21)
-        ref, ref_grads = _old_linear_chain(x, w, b, g)
-        assert np.array_equal(out, ref)
-        for got, want in zip(grads, ref_grads):
-            assert np.array_equal(got, want)
+        x = rng.standard_normal(shape).astype(dtype)
+        w = (rng.standard_normal((24, 40)) * 0.1).astype(dtype)
+        b = rng.standard_normal(40).astype(dtype)
+        g = rng.standard_normal(shape[:-1] + (40,)).astype(dtype)
+        xt = E.Tensor(x, requires_grad=x_grad)
+        wt, bt = E.parameter(w), E.parameter(b)
+        with E.Graph() as graph:
+            out = E.linear(xt, wt, bt)
+            loss = tsum(mul(out, E.Tensor(g)))
+        graph.backward(loss)
+        ref, (gx, gw, gb) = linear_reference(x, w, b, g)
+        assert out.data.dtype == ref.dtype and np.array_equal(out.data, ref)
+        assert (xt.grad is None) if not x_grad else np.array_equal(xt.grad, gx)
+        for got, want in ((wt.grad, gw), (bt.grad, gb)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("x_dtype,p_dtype", [
         (np.float32, np.float32), (np.float64, np.float64),
@@ -798,6 +813,17 @@ class TestFusedOps:
         assert len(got) == len(want) == 3 * len(ears) + len(params)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+
+    def test_zero_d_input_is_a_shape_error(self):
+        x, ones = E.Tensor(np.float64(2.0)), E.Tensor(np.ones(4))
+        w, b = E.Tensor(np.zeros((4, 5))), E.Tensor(np.zeros(5))
+        with pytest.raises(E.ShapeError,
+                           match=r"layer_norm needs x \(\.\.\., n\), got shape \(\)"):
+            E.layer_norm(x, ones, ones)
+        with pytest.raises(E.ShapeError, match=r"norm_linear needs .*got \(\), \(4, 5\)"):
+            E.norm_linear(x, ones, ones, w, b)
+        with pytest.raises(E.ShapeError, match=r"linear needs .*got \(\), \(4, 5\)"):
+            E.linear(x, w, b)
 
     def test_linear_bias_shape_checked(self):
         with pytest.raises(E.ShapeError, match=r"\(4,\)"):
